@@ -1,19 +1,18 @@
-// Microbenchmark: naive loop-nest conv vs im2col+GEMM fast path, forward
-// and backward, on every conv layer of the model-zoo experiment specs
-// (LeNet / ConvNet / CaffeNet). Prints a speedup table; `--json PATH`
-// additionally emits machine-readable results for the tier-1 wrapper.
+// Microbenchmark: Conv2D forward and backward wall clock on every conv
+// layer of the model-zoo experiment specs (LeNet / ConvNet / CaffeNet),
+// plus a *direct* single-thread GEMM measurement at each layer's forward
+// GEMM shape: the scalar kernel (gemm::gemm_nn) vs the packed one
+// (simd::gemm_nn), with GFLOP/s. The direct numbers are what the >=2x
+// tier-1 gate reads — layer forward time includes the im2col packing,
+// which dilutes the kernel speedup. `--json PATH` emits machine-readable
+// results for the tier-1 wrapper (schema 3).
 //
-// Schema 2 adds the vectorized backend: per layer, the simd conv wall
-// clock, plus a *direct* single-thread GEMM measurement at the layer's
-// forward GEMM shape (scalar vs simd, with GFLOP/s). The direct numbers
-// are what the >=2x tier-1 gate reads — layer forward time includes the
-// im2col packing, which dilutes the kernel speedup.
-//
-// A second section measures the block-sparse fast path: dense GEMM vs the
-// armed sparse path on the same pruned weights at 0/25/50/75/90 % block
-// sparsity, for the scalar and (when available) simd backends
-// (`--sparse-json PATH` dumps it, tier-1 writes BENCH_sparse.json). The
-// 0 % rows double as the sparse-dispatch overhead probe.
+// A second section measures the block-sparse fast path: dense Conv2D /
+// FullyConnected vs the armed sparse path on the same pruned weights at
+// 0/25/50/75/90 % block sparsity (`--sparse-json PATH` dumps it, tier-1
+// writes BENCH_sparse.json). Each row's `impl` names the kernel the
+// layers dispatch to in this build: "simd" where vectorized(), "gemm"
+// otherwise. The 0 % rows double as the sparse-dispatch overhead probe.
 
 #include <algorithm>
 #include <chrono>
@@ -39,7 +38,6 @@ namespace {
 
 using ls::nn::Conv2D;
 using ls::nn::Conv2DConfig;
-using ls::nn::ConvImpl;
 using ls::tensor::Shape;
 using ls::tensor::Tensor;
 
@@ -52,17 +50,11 @@ struct BenchCase {
 
 struct BenchResult {
   BenchCase c;
-  double naive_fwd_ms = 0.0, gemm_fwd_ms = 0.0;
-  double naive_bwd_ms = 0.0, gemm_bwd_ms = 0.0;
-  double simd_fwd_ms = 0.0, simd_bwd_ms = 0.0;
+  double fwd_ms = 0.0, bwd_ms = 0.0;
   // Direct forward-GEMM shape (per group, per sample) and single-thread
   // kernel timings at it.
   std::size_t mm_m = 0, mm_n = 0, mm_k = 0;
   double mm_scalar_ms = 0.0, mm_simd_ms = 0.0;
-  double fwd_speedup() const { return naive_fwd_ms / gemm_fwd_ms; }
-  double bwd_speedup() const { return naive_bwd_ms / gemm_bwd_ms; }
-  double simd_fwd_speedup() const { return gemm_fwd_ms / simd_fwd_ms; }
-  double simd_bwd_speedup() const { return gemm_bwd_ms / simd_bwd_ms; }
   double mm_flops() const {
     return 2.0 * static_cast<double>(mm_m) * static_cast<double>(mm_n) *
            static_cast<double>(mm_k);
@@ -128,35 +120,18 @@ BenchResult run_case(const BenchCase& c) {
   BenchResult r;
   r.c = c;
   ls::util::Rng rng_w(11), rng_in(5);
-  Conv2DConfig gemm_cfg = c.cfg;
-  gemm_cfg.impl = ConvImpl::kGemm;
-  Conv2DConfig naive_cfg = c.cfg;
-  naive_cfg.impl = ConvImpl::kNaive;
-  Conv2DConfig simd_cfg = c.cfg;
-  simd_cfg.impl = ConvImpl::kSimd;
-  Conv2D gemm("g", gemm_cfg, rng_w);
-  ls::util::Rng rng_w2(11), rng_w3(11);
-  Conv2D naive("n", naive_cfg, rng_w2);
-  Conv2D simd("v", simd_cfg, rng_w3);
+  Conv2D conv("c", c.cfg, rng_w);
   const Tensor in = Tensor::uniform(c.in_shape, -1.f, 1.f, rng_in);
+  r.fwd_ms = time_ms([&] { conv.forward(in, true); });
 
-  r.gemm_fwd_ms = time_ms([&] { gemm.forward(in, true); });
-  r.naive_fwd_ms = time_ms([&] { naive.forward(in, true); });
-  r.simd_fwd_ms = time_ms([&] { simd.forward(in, true); });
-
-  const Tensor grad = Tensor::uniform(gemm.output_shape(c.in_shape), -1.f,
-                                      1.f, rng_in);
-  gemm.forward(in, true);
-  r.gemm_bwd_ms = time_ms([&] { gemm.backward(grad); });
-  naive.forward(in, true);
-  r.naive_bwd_ms = time_ms([&] { naive.backward(grad); });
-  simd.forward(in, true);
-  r.simd_bwd_ms = time_ms([&] { simd.backward(grad); });
+  const Shape out_shape = conv.output_shape(c.in_shape);
+  const Tensor grad = Tensor::uniform(out_shape, -1.f, 1.f, rng_in);
+  conv.forward(in, true);
+  r.bwd_ms = time_ms([&] { conv.backward(grad); });
 
   // Direct forward-GEMM shape: weights (Cout/g x Cin/g*K*K) times the
   // im2col matrix (rows x OH*OW), timed single-thread (parallel=false) so
   // the gate measures the kernel, not the pool.
-  const Shape out_shape = gemm.output_shape(c.in_shape);
   r.mm_m = c.cfg.out_channels / c.cfg.groups;
   r.mm_n = out_shape[2] * out_shape[3];
   r.mm_k = (c.cfg.in_channels / c.cfg.groups) * c.cfg.kernel * c.cfg.kernel;
@@ -180,7 +155,7 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_micro");
-  w.key("schema").value(static_cast<std::uint64_t>(2));
+  w.key("schema").value(static_cast<std::uint64_t>(3));
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
   w.key("simd_available").value(ls::nn::simd::vectorized());
   w.key("simd_isa").value(ls::nn::simd::microkernel_isa());
@@ -189,16 +164,8 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
     w.begin_object();
     w.key("net").value(r.c.net);
     w.key("layer").value(r.c.layer);
-    w.key("naive_fwd_ms").value(r.naive_fwd_ms);
-    w.key("gemm_fwd_ms").value(r.gemm_fwd_ms);
-    w.key("simd_fwd_ms").value(r.simd_fwd_ms);
-    w.key("naive_bwd_ms").value(r.naive_bwd_ms);
-    w.key("gemm_bwd_ms").value(r.gemm_bwd_ms);
-    w.key("simd_bwd_ms").value(r.simd_bwd_ms);
-    w.key("fwd_speedup").value(r.fwd_speedup());
-    w.key("bwd_speedup").value(r.bwd_speedup());
-    w.key("simd_fwd_speedup").value(r.simd_fwd_speedup());
-    w.key("simd_bwd_speedup").value(r.simd_bwd_speedup());
+    w.key("fwd_ms").value(r.fwd_ms);
+    w.key("bwd_ms").value(r.bwd_ms);
     w.key("mm_m").value(static_cast<std::uint64_t>(r.mm_m));
     w.key("mm_n").value(static_cast<std::uint64_t>(r.mm_n));
     w.key("mm_k").value(static_cast<std::uint64_t>(r.mm_k));
@@ -217,9 +184,14 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
 // ---------------------------------------------------------------------------
 // Block-sparse fast path: dense GEMM vs sparse-armed GEMM on pruned weights.
 
+/// The kernel Conv2D / FullyConnected dispatch to in this build.
+const char* layer_impl() {
+  return ls::nn::simd::vectorized() ? "simd" : "gemm";
+}
+
 struct SparseBenchResult {
   std::string kind;  ///< "conv" or "fc"
-  std::string impl;  ///< "gemm" (scalar) or "simd"
+  std::string impl;  ///< layer_impl()
   int sparsity_pct = 0;
   double dense_fwd_ms = 0.0, sparse_fwd_ms = 0.0;
   double speedup() const { return dense_fwd_ms / sparse_fwd_ms; }
@@ -251,17 +223,16 @@ void kill_block_fraction(ls::nn::Param& w, std::size_t parts,
   w.bump();
 }
 
-SparseBenchResult run_sparse_conv(int pct, std::size_t parts, bool use_simd) {
+SparseBenchResult run_sparse_conv(int pct, std::size_t parts) {
   SparseBenchResult r;
   r.kind = "conv";
-  r.impl = use_simd ? "simd" : "gemm";
+  r.impl = layer_impl();
   r.sparsity_pct = pct;
   Conv2DConfig cfg;
   cfg.in_channels = 64;
   cfg.out_channels = 64;
   cfg.kernel = 3;
   cfg.pad = 1;
-  cfg.impl = use_simd ? ConvImpl::kSimd : ConvImpl::kGemm;
   ls::util::Rng rng_w(11), rng_w2(11), rng_in(5);
   Conv2D dense("d", cfg, rng_w);
   Conv2D sparse("s", cfg, rng_w2);
@@ -280,19 +251,15 @@ SparseBenchResult run_sparse_conv(int pct, std::size_t parts, bool use_simd) {
   return r;
 }
 
-SparseBenchResult run_sparse_fc(int pct, std::size_t parts, bool use_simd) {
+SparseBenchResult run_sparse_fc(int pct, std::size_t parts) {
   SparseBenchResult r;
   r.kind = "fc";
-  r.impl = use_simd ? "simd" : "gemm";
+  r.impl = layer_impl();
   r.sparsity_pct = pct;
   const std::size_t in_f = 512, out_f = 512;
   ls::util::Rng rng_w(11), rng_w2(11), rng_in(5);
   ls::nn::FullyConnected dense("d", in_f, out_f, rng_w);
   ls::nn::FullyConnected sparse("s", in_f, out_f, rng_w2);
-  const auto backend = use_simd ? ls::nn::simd::GemmBackend::kSimd
-                                : ls::nn::simd::GemmBackend::kScalar;
-  dense.set_backend(backend);
-  sparse.set_backend(backend);
   sparse.set_sparsity_partition(parts, /*in_units=*/in_f);
   const double frac = pct / 100.0;
   kill_block_fraction(dense.weight(), parts, in_f, out_f, 1, frac);
@@ -308,7 +275,7 @@ void write_sparse_json(const std::string& path,
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_sparse");
-  w.key("schema").value(static_cast<std::uint64_t>(2));
+  w.key("schema").value(static_cast<std::uint64_t>(3));
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
   w.key("simd_available").value(ls::nn::simd::vectorized());
   w.key("cases").begin_array();
@@ -341,46 +308,28 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Learn-to-Scale bench: conv kernel micro (naive loop nest vs "
-      "im2col+GEMM, %zu threads)\n\n",
-      ls::util::num_threads());
+      "Learn-to-Scale bench: conv kernel micro (%zu threads, isa: %s)\n\n",
+      ls::util::num_threads(), ls::nn::simd::microkernel_isa());
 
   std::vector<BenchResult> results;
-  ls::util::Table table("conv fwd/bwd wall-clock per call, batch 8");
-  table.set_header({"net", "layer", "naive fwd", "gemm fwd", "fwd speedup",
-                    "naive bwd", "gemm bwd", "bwd speedup"});
+  ls::util::Table table(
+      "conv fwd/bwd wall-clock per call, batch 8, + direct 1-thread GEMM at "
+      "the fwd shape");
+  table.set_header({"net", "layer", "fwd", "bwd", "MxNxK", "scalar GF/s",
+                    "simd GF/s", "mm speedup"});
   for (const BenchCase& c : cases_from_zoo()) {
     const BenchResult r = run_case(c);
     table.add_row({r.c.net, r.c.layer,
-                   ls::util::fmt_double(r.naive_fwd_ms, 2) + " ms",
-                   ls::util::fmt_double(r.gemm_fwd_ms, 2) + " ms",
-                   ls::util::fmt_speedup(r.fwd_speedup(), 1),
-                   ls::util::fmt_double(r.naive_bwd_ms, 2) + " ms",
-                   ls::util::fmt_double(r.gemm_bwd_ms, 2) + " ms",
-                   ls::util::fmt_speedup(r.bwd_speedup(), 1)});
+                   ls::util::fmt_double(r.fwd_ms, 2) + " ms",
+                   ls::util::fmt_double(r.bwd_ms, 2) + " ms",
+                   std::to_string(r.mm_m) + "x" + std::to_string(r.mm_n) +
+                       "x" + std::to_string(r.mm_k),
+                   ls::util::fmt_double(r.mm_scalar_gflops(), 1),
+                   ls::util::fmt_double(r.mm_simd_gflops(), 1),
+                   ls::util::fmt_speedup(r.mm_simd_speedup(), 2)});
     results.push_back(r);
   }
   table.print();
-
-  ls::util::Table simd_table(
-      std::string("vectorized backend (isa: ") +
-      ls::nn::simd::microkernel_isa() +
-      "): layer fwd vs scalar gemm + direct 1-thread GEMM at the fwd shape");
-  simd_table.set_header({"net", "layer", "gemm fwd", "simd fwd", "fwd speedup",
-                         "MxNxK", "scalar GF/s", "simd GF/s", "mm speedup"});
-  for (const BenchResult& r : results) {
-    simd_table.add_row(
-        {r.c.net, r.c.layer, ls::util::fmt_double(r.gemm_fwd_ms, 2) + " ms",
-         ls::util::fmt_double(r.simd_fwd_ms, 2) + " ms",
-         ls::util::fmt_speedup(r.simd_fwd_speedup(), 2),
-         std::to_string(r.mm_m) + "x" + std::to_string(r.mm_n) + "x" +
-             std::to_string(r.mm_k),
-         ls::util::fmt_double(r.mm_scalar_gflops(), 1),
-         ls::util::fmt_double(r.mm_simd_gflops(), 1),
-         ls::util::fmt_speedup(r.mm_simd_speedup(), 2)});
-  }
-  std::printf("\n");
-  simd_table.print();
 
   if (!json_path.empty()) {
     write_json(json_path, results);
@@ -396,18 +345,14 @@ int main(int argc, char** argv) {
       {"kind", "impl", "sparsity", "dense fwd", "sparse fwd", "speedup"});
   for (const int pct : {0, 25, 50, 75, 90}) {
     for (const bool is_fc : {false, true}) {
-      for (const bool use_simd : {false, true}) {
-        if (use_simd && !ls::nn::simd::vectorized()) continue;
-        const SparseBenchResult r = is_fc
-                                        ? run_sparse_fc(pct, parts, use_simd)
-                                        : run_sparse_conv(pct, parts, use_simd);
-        sparse_table.add_row({r.kind, r.impl,
-                              std::to_string(r.sparsity_pct) + "%",
-                              ls::util::fmt_double(r.dense_fwd_ms, 2) + " ms",
-                              ls::util::fmt_double(r.sparse_fwd_ms, 2) + " ms",
-                              ls::util::fmt_speedup(r.speedup(), 2)});
-        sparse_results.push_back(r);
-      }
+      const SparseBenchResult r = is_fc ? run_sparse_fc(pct, parts)
+                                        : run_sparse_conv(pct, parts);
+      sparse_table.add_row({r.kind, r.impl,
+                            std::to_string(r.sparsity_pct) + "%",
+                            ls::util::fmt_double(r.dense_fwd_ms, 2) + " ms",
+                            ls::util::fmt_double(r.sparse_fwd_ms, 2) + " ms",
+                            ls::util::fmt_speedup(r.speedup(), 2)});
+      sparse_results.push_back(r);
     }
   }
   std::printf("\n");

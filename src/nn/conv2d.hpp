@@ -7,19 +7,13 @@
 // producer and consumer kernels are mapped to the same core, the layer
 // transition needs no inter-core communication.
 //
-// Three compute kernels (DESIGN.md "Performance architecture" and §4i
-// "Vectorized kernels"):
-//   * kGemm  — im2col packing + cache-blocked scalar GEMM, parallelized over
-//     the (batch, group) and output-channel dimensions on the shared pool.
-//     Default; used by every trainer/bench path.
-//   * kSimd  — same im2col structure, but the GEMMs run on the packed
-//     register-tiled backend in nn::simd (LS_CONV_IMPL=simd). Falls back to
-//     kGemm when the toolchain lacks `#pragma omp simd`.
-//   * kNaive — the original 7-deep loop nest, kept as the reference for the
-//     parity suite and for microbenchmark baselines.
-// All kernels are deterministic for any thread count; they differ only in
-// floating-point accumulation grouping (parity within 1e-4, see
-// tests/nn/conv_gemm_parity_test.cpp and tests/nn/gemm_simd_test.cpp).
+// Compute: im2col packing plus the nn::simd GEMM entry points, parallelized
+// over the (batch, group) and output-channel dimensions on the shared pool
+// (DESIGN.md "Performance architecture" and §4i "Vectorized kernels"). The
+// GEMM shape and the build pick the kernel; nothing else does. Results are
+// deterministic for any thread count and match the naive loop-nest oracle
+// in tests/nn/naive_conv.cpp within 1e-4
+// (tests/nn/conv_gemm_parity_test.cpp).
 
 #include <cstddef>
 #include <memory>
@@ -31,10 +25,6 @@ namespace ls::nn {
 
 class BlockSparsity;
 
-/// Conv/FC compute kernel selection. kAuto resolves to the LS_CONV_IMPL
-/// environment variable ("gemm" | "naive" | "simd"), defaulting to kGemm.
-enum class ConvImpl { kAuto, kGemm, kNaive, kSimd };
-
 struct Conv2DConfig {
   std::size_t in_channels = 0;
   std::size_t out_channels = 0;
@@ -43,7 +33,6 @@ struct Conv2DConfig {
   std::size_t pad = 0;
   std::size_t groups = 1;     ///< channel groups; 1 = dense layer
   bool bias = true;
-  ConvImpl impl = ConvImpl::kAuto;  ///< compute kernel selection
 };
 
 class Conv2D final : public Layer {
@@ -63,26 +52,15 @@ class Conv2D final : public Layer {
   const Param& weight() const { return weight_; }
   Param& bias() { return bias_; }
 
-  /// Switches the compute kernel at runtime (parity tests, benches).
-  void set_impl(ConvImpl impl) { cfg_.impl = impl; }
-  /// The kernel forward/backward will actually run (kAuto resolved).
-  ConvImpl resolved_impl() const;
-
   /// Arms the block-sparse fast path (DESIGN.md "Sparse execution"):
   /// in/out channels are split `parts` ways (balanced_bounds) and all-zero
   /// weight blocks are skipped by the GEMM path. Requires groups == 1.
-  /// Dense behavior is unchanged until blocks are actually pruned, and
-  /// LS_SPARSE=off force-disables the path at runtime.
+  /// Dense behavior is unchanged until blocks are actually pruned.
   void set_sparsity_partition(std::size_t parts);
   void clear_sparsity_partition();
   const BlockSparsity* sparsity() const { return sparsity_.get(); }
 
  private:
-  Tensor naive_forward(const Tensor& in, bool training);
-  Tensor naive_backward(const Tensor& grad_out);
-  Tensor gemm_forward(const Tensor& in, bool training);
-  Tensor gemm_backward(const Tensor& grad_out);
-
   /// Cached bitmap when armed and eligible, nullptr for the dense path.
   /// Rescans on weight-version change; cheap when nothing moved.
   const struct BlockMap* sparse_map();

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "nn/block_sparsity.hpp"
-#include "nn/gemm.hpp"
+#include "nn/gemm_simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -41,7 +41,7 @@ void FullyConnected::set_sparsity_partition(std::size_t parts,
 void FullyConnected::clear_sparsity_partition() { sparsity_.reset(); }
 
 const BlockMap* FullyConnected::sparse_map() {
-  if (!sparsity_ || !sparse_runtime_enabled()) return nullptr;
+  if (!sparsity_) return nullptr;
   const BlockMap& m = sparsity_->map(weight_);
   return m.engaged() ? &m : nullptr;
 }
@@ -82,24 +82,12 @@ Tensor FullyConnected::forward(const Tensor& in, bool training) {
     obs::Registry::instance()
         .gauge("sparse.layer." + name_ + ".block_density")
         .set(bm->block_density());
-    if (backend_ == simd::GemmBackend::kSimd) {
-      simd::gemm_nt_sparse(N, out_features_, in_features_, flat.data(),
-                           in_features_, weight_.value.data(), in_features_,
-                           out.data(), out_features_, /*accumulate=*/true,
-                           /*parallel=*/true, bm->mask());
-    } else {
-      gemm::gemm_nt_sparse(N, out_features_, in_features_, flat.data(),
-                           in_features_, weight_.value.data(), in_features_,
-                           out.data(), out_features_, /*accumulate=*/true,
-                           /*parallel=*/true, bm->mask());
-    }
-  } else if (backend_ == simd::GemmBackend::kSimd) {
-    simd::gemm_nt(N, out_features_, in_features_, flat.data(), in_features_,
-                  weight_.value.data(), in_features_, out.data(),
-                  out_features_,
-                  /*accumulate=*/true, /*parallel=*/true);
+    simd::gemm_nt_sparse(N, out_features_, in_features_, flat.data(),
+                         in_features_, weight_.value.data(), in_features_,
+                         out.data(), out_features_, /*accumulate=*/true,
+                         /*parallel=*/true, bm->mask());
   } else {
-    gemm::gemm_nt(N, out_features_, in_features_, flat.data(), in_features_,
+    simd::gemm_nt(N, out_features_, in_features_, flat.data(), in_features_,
                   weight_.value.data(), in_features_, out.data(),
                   out_features_,
                   /*accumulate=*/true, /*parallel=*/true);
@@ -127,27 +115,13 @@ Tensor FullyConnected::backward(const Tensor& grad_out) {
   }
   // dW (Out x In) += dOut^T (Out x N) * X (N x In); k = sample index runs
   // ascending, matching the reference accumulation order.
-  if (backend_ == simd::GemmBackend::kSimd) {
-    simd::gemm_tn(out_features_, in_features_, N, grad_out.data(),
-                  out_features_, cached_input_.data(), in_features_,
-                  weight_.grad.data(), in_features_, /*accumulate=*/true,
-                  /*parallel=*/true);
-    // dX (N x In) = dOut (N x Out) * W (Out x In)
-    simd::gemm_nn(N, in_features_, out_features_, grad_out.data(),
-                  out_features_, weight_.value.data(), in_features_,
-                  grad_flat.data(), in_features_, /*accumulate=*/false,
-                  /*parallel=*/true);
-  } else {
-    gemm::gemm_tn(out_features_, in_features_, N, grad_out.data(),
-                  out_features_, cached_input_.data(), in_features_,
-                  weight_.grad.data(), in_features_, /*accumulate=*/true,
-                  /*parallel=*/true);
-    // dX (N x In) = dOut (N x Out) * W (Out x In)
-    gemm::gemm_nn(N, in_features_, out_features_, grad_out.data(),
-                  out_features_, weight_.value.data(), in_features_,
-                  grad_flat.data(), in_features_, /*accumulate=*/false,
-                  /*parallel=*/true);
-  }
+  simd::gemm_tn(out_features_, in_features_, N, grad_out.data(), out_features_,
+                cached_input_.data(), in_features_, weight_.grad.data(),
+                in_features_, /*accumulate=*/true, /*parallel=*/true);
+  // dX (N x In) = dOut (N x Out) * W (Out x In)
+  simd::gemm_nn(N, in_features_, out_features_, grad_out.data(), out_features_,
+                weight_.value.data(), in_features_, grad_flat.data(),
+                in_features_, /*accumulate=*/false, /*parallel=*/true);
   return grad_flat.reshaped(cached_input_shape_);
 }
 

@@ -1,9 +1,7 @@
 #include "nn/gemm_simd.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "check/check.hpp"
@@ -13,9 +11,8 @@
 
 // -fopenmp-simd (detected by CMake) activates `#pragma omp simd` without
 // pulling in an OpenMP runtime. Without it the macro expands to nothing and
-// the microkernel is a plain loop the optimizer may still vectorize — but
-// default_backend() then refuses to select kSimd so LS_CONV_IMPL=simd never
-// silently runs a scalar microkernel.
+// every entry point hands its shape to the scalar kernel (kPackedBuild), so
+// a build without the pragma never runs the packed grid on a plain loop.
 #if defined(LS_HAS_OMP_SIMD)
 #define LS_PRAGMA_SIMD _Pragma("omp simd")
 #else
@@ -58,6 +55,14 @@ constexpr std::size_t kParallelMinWork = 1 << 14;
 // dense small-M shapes must take the same path so the within-backend
 // sparse == dense bit-exactness contract survives the dispatch.
 constexpr std::size_t kSmallMRows = 2 * kMr;
+
+// The build half of the kernel choice: without `#pragma omp simd` every
+// entry point runs the scalar kernel, whatever the shape.
+#if defined(LS_HAS_OMP_SIMD)
+constexpr bool kPackedBuild = true;
+#else
+constexpr bool kPackedBuild = false;
+#endif
 
 // ---------------------------------------------------------------------------
 // Microkernel: one Mr x Nr accumulator tile over the task's live k spans.
@@ -496,13 +501,7 @@ void run_grid(const float* A, std::size_t row_stride, std::size_t k_stride,
 
 }  // namespace
 
-bool vectorized() {
-#if defined(LS_HAS_OMP_SIMD)
-  return true;
-#else
-  return false;
-#endif
-}
+bool vectorized() { return kPackedBuild; }
 
 const char* microkernel_isa() {
 #if defined(LS_SIMD_AVX2_CLONES)
@@ -513,22 +512,11 @@ const char* microkernel_isa() {
   return "portable";
 }
 
-GemmBackend default_backend() {
-  static const GemmBackend backend = [] {
-    const char* env = std::getenv("LS_CONV_IMPL");
-    if (env != nullptr && std::string_view(env) == "simd" && vectorized()) {
-      return GemmBackend::kSimd;
-    }
-    return GemmBackend::kScalar;
-  }();
-  return backend;
-}
-
 void gemm_nn(std::size_t M, std::size_t N, std::size_t K, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate, bool parallel) {
   if (M == 0 || N == 0) return;
-  if (M < kSmallMRows) {
+  if (!kPackedBuild || M < kSmallMRows) {
     gemm::gemm_nn(M, N, K, A, lda, B, ldb, C, ldc, accumulate, parallel);
     return;
   }
@@ -552,6 +540,10 @@ void gemm_tn(std::size_t M, std::size_t N, std::size_t K, const float* A,
   // A is stored (K x M): logical row i is the stored column at A + i, with
   // k advancing by lda — contiguous kMr-wide reads per k, no packing.
   if (M == 0 || N == 0) return;
+  if (!kPackedBuild) {
+    gemm::gemm_tn(M, N, K, A, lda, B, ldb, C, ldc, accumulate, parallel);
+    return;
+  }
   const std::size_t full[2] = {0, K};
   const auto all = [&](const Block&, const Block&, std::size_t* n) {
     *n = K > 0 ? 1 : 0;
@@ -573,6 +565,10 @@ void gemm_nt(std::size_t M, std::size_t N, std::size_t K, const float* A,
   // stream unpacked; only A (usually the small operand — FC activations)
   // gets strip-packed. Writeback transposes back into C.
   if (M == 0 || N == 0) return;
+  if (!kPackedBuild) {
+    gemm::gemm_nt(M, N, K, A, lda, B, ldb, C, ldc, accumulate, parallel);
+    return;
+  }
   const std::size_t full[2] = {0, K};
   const auto all = [&](const Block&, const Block&, std::size_t* n) {
     *n = K > 0 ? 1 : 0;
@@ -594,7 +590,7 @@ void gemm_nn_sparse(std::size_t M, std::size_t N, std::size_t K,
                     const gemm::BlockMask& mask) {
   if (M == 0 || N == 0) return;
   if constexpr (check::kEnabled) check_mask_extents(mask, K, M);
-  if (M < kSmallMRows) {
+  if (!kPackedBuild || M < kSmallMRows) {
     gemm::gemm_nn_sparse(M, N, K, A, lda, B, ldb, C, ldc, accumulate,
                          parallel, mask);
     return;
@@ -627,6 +623,11 @@ void gemm_nt_sparse(std::size_t M, std::size_t N, std::size_t K,
                     const gemm::BlockMask& mask) {
   if (M == 0 || N == 0) return;
   if constexpr (check::kEnabled) check_mask_extents(mask, K, N);
+  if (!kPackedBuild) {
+    gemm::gemm_nt_sparse(M, N, K, A, lda, B, ldb, C, ldc, accumulate,
+                         parallel, mask);
+    return;
+  }
   const PanelSpans live = consumer_live_spans(mask);
   const std::vector<std::size_t> pack_spans = union_live_spans(mask);
   // Transposed orientation: the grid's row dimension is N (the weight rows
@@ -654,6 +655,11 @@ void gemm_tn_sparse(std::size_t M, std::size_t N, std::size_t K,
                     const gemm::BlockMask& mask) {
   if (M == 0 || N == 0) return;
   if constexpr (check::kEnabled) check_mask_extents(mask, N, K);
+  if (!kPackedBuild) {
+    gemm::gemm_tn_sparse(M, N, K, A, lda, B, ldb, C, ldc, accumulate,
+                         parallel, mask);
+    return;
+  }
   const PanelSpans live = producer_live_spans(mask);
   // Col blocks align to *producer* panels over N; each column's live k
   // spans are the consumer ranges whose (producer, consumer) block is live.

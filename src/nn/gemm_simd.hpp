@@ -1,8 +1,12 @@
 #pragma once
 // Vectorized tiled GEMM backend (DESIGN.md §4i "Vectorized kernels").
 //
-// Drop-in alternative to the scalar kernels in gemm.hpp, selected at
-// runtime via LS_CONV_IMPL=simd. Register tile Mr x Nr = 4x16: A is read
+// The one GEMM dispatch Conv2D and FullyConnected call. Each entry point
+// picks its kernel from the shape and the build, never from a runtime
+// option: nn variants with fewer than 8 C rows, and every variant in a
+// build without `#pragma omp simd` (vectorized() == false), run the scalar
+// kernel of the same name in gemm.hpp; everything else runs the packed
+// grid below. Register tile Mr x Nr = 4x16: A is read
 // unpacked through four raw row pointers (a strided element walk the
 // microkernel absorbs), B is packed once per call into 16-column strips in
 // the caller's scratch slot — except full-width nn strips, which are read
@@ -33,8 +37,9 @@
 // union of live producer spans across consumers — exactly the rows
 // im2col_masked fills — so the gemm_nn_sparse B operand may contain
 // garbage in rows whose whole producer panel is dead for every consumer;
-// those rows are never read (not even at unroll boundaries, unlike the
-// scalar kernel).
+// the packed grid never reads those rows (not even at unroll boundaries).
+// The scalar kernel may read the ones at its 4-aligned unroll boundaries,
+// which im2col_masked zero-fills for it.
 
 #include <cstddef>
 
@@ -43,10 +48,8 @@
 namespace ls::nn::simd {
 
 /// True when the microkernel was compiled with `#pragma omp simd` active
-/// (-fopenmp-simd found). The packed kernels are correct either way; the
-/// runtime dispatch (default_backend) falls back to the scalar backend
-/// when the pragma is unavailable, honoring the "no silent slow path"
-/// rule for LS_CONV_IMPL=simd.
+/// (-fopenmp-simd found). When false, every entry point below runs the
+/// scalar kernel, so no build silently runs the packed grid on a plain loop.
 bool vectorized();
 
 /// The instruction set the microkernel dispatches to at runtime: "avx2+fma"
@@ -54,14 +57,6 @@ bool vectorized();
 /// build target. Benches record it so perf gates only bind where the vector
 /// clones actually run.
 const char* microkernel_isa();
-
-/// Backend selection shared by Conv2D and FullyConnected.
-enum class GemmBackend { kScalar, kSimd };
-
-/// Resolves LS_CONV_IMPL once: "simd" selects kSimd (when vectorized()),
-/// anything else — including "naive", which only affects the conv loop
-/// nest — selects kScalar.
-GemmBackend default_backend();
 
 // Entry points mirror ls::nn::gemm exactly; see gemm.hpp for the operand
 // and BlockMask conventions.

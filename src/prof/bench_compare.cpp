@@ -134,13 +134,17 @@ MetricDirection metric_direction(std::string_view leaf_key) {
     if (leaf_key == info) return MetricDirection::kInfo;
   }
   // Higher is better: rates and ratios the optimizations exist to raise.
+  // Per-second rates go first so `flits_per_s` is not graded as a flit
+  // count.
+  if (ends_with(leaf_key, "_per_s")) return MetricDirection::kHigherBetter;
   if (contains(leaf_key, "speedup") || contains(leaf_key, "throughput") ||
       contains(leaf_key, "occupancy") || contains(leaf_key, "accuracy") ||
       contains(leaf_key, "hit") || contains(leaf_key, "gflops")) {
     return MetricDirection::kHigherBetter;
   }
   // Lower is better: times, cycle counts, errors, traffic.
-  if (ends_with(leaf_key, "_ms") || ends_with(leaf_key, "_us") ||
+  if (ends_with(leaf_key, "_s") || ends_with(leaf_key, "_ms") ||
+      ends_with(leaf_key, "_us") ||
       contains(leaf_key, "cycles") || contains(leaf_key, "error") ||
       contains(leaf_key, "bytes") || contains(leaf_key, "flits") ||
       contains(leaf_key, "loss")) {

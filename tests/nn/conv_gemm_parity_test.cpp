@@ -1,6 +1,7 @@
-// Parity suite: the im2col+GEMM conv kernel must match the naive loop nest
-// within 1e-4 (forward output, input gradient, weight/bias gradients) across
-// strides, padding, groups, and odd spatial shapes.
+// Parity suite: Conv2D (im2col + the nn::simd GEMM dispatch) must match the
+// naive loop-nest oracle within 1e-4 (forward output, input gradient,
+// weight/bias gradients) across strides, padding, groups, and odd spatial
+// shapes.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "naive_conv.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -33,7 +35,7 @@ const std::vector<ParityCase> kCases = {
     {"single_pixel_out", 1, 2, 5, 5, 4, 5, 1, 0, 2},
 };
 
-Conv2DConfig make_cfg(const ParityCase& c, ConvImpl impl) {
+Conv2DConfig make_cfg(const ParityCase& c) {
   Conv2DConfig cfg;
   cfg.in_channels = c.cin;
   cfg.out_channels = c.cout;
@@ -41,7 +43,6 @@ Conv2DConfig make_cfg(const ParityCase& c, ConvImpl impl) {
   cfg.stride = c.stride;
   cfg.pad = c.pad;
   cfg.groups = c.groups;
-  cfg.impl = impl;
   return cfg;
 }
 
@@ -53,44 +54,41 @@ TEST(ConvGemmParity, ForwardAndBackwardMatchNaive) {
   constexpr float kTol = 1e-4f;
   for (const ParityCase& c : kCases) {
     SCOPED_TRACE(c.name);
-    // Identical seeds give both layers identical weights.
-    util::Rng rng_a(99), rng_b(99), rng_in(7);
-    Conv2D gemm("g", make_cfg(c, ConvImpl::kGemm), rng_a);
-    Conv2D naive("n", make_cfg(c, ConvImpl::kNaive), rng_b);
-    ASSERT_EQ(gemm.resolved_impl(), ConvImpl::kGemm);
-    ASSERT_EQ(naive.resolved_impl(), ConvImpl::kNaive);
-    ASSERT_LT(max_diff(gemm.weight().value, naive.weight().value), 1e-7f);
+    util::Rng rng_w(99), rng_in(7);
+    const Conv2DConfig cfg = make_cfg(c);
+    Conv2D conv("g", cfg, rng_w);
 
     const Tensor in =
         Tensor::uniform(Shape{c.N, c.cin, c.H, c.W}, -1.f, 1.f, rng_in);
-    const Tensor out_g = gemm.forward(in, /*training=*/true);
-    const Tensor out_n = naive.forward(in, /*training=*/true);
-    ASSERT_EQ(out_g.shape(), out_n.shape());
-    EXPECT_LT(max_diff(out_g, out_n), kTol);
+    const Tensor out = conv.forward(in, /*training=*/true);
+    const Tensor out_n = oracle::naive_conv_forward(
+        cfg, in, conv.weight().value, conv.bias().value);
+    ASSERT_EQ(out.shape(), out_n.shape());
+    EXPECT_LT(max_diff(out, out_n), kTol);
 
     // Backward from a fixed upstream gradient.
     util::Rng rng_go(13);
-    const Tensor grad_out =
-        Tensor::uniform(out_g.shape(), -1.f, 1.f, rng_go);
-    const Tensor din_g = gemm.backward(grad_out);
-    const Tensor din_n = naive.backward(grad_out);
-    EXPECT_LT(max_diff(din_g, din_n), kTol) << "input gradient";
-    EXPECT_LT(max_diff(gemm.weight().grad, naive.weight().grad), kTol)
+    const Tensor grad_out = Tensor::uniform(out.shape(), -1.f, 1.f, rng_go);
+    const Tensor din = conv.backward(grad_out);
+    const oracle::NaiveConvGrads ref =
+        oracle::naive_conv_backward(cfg, in, conv.weight().value, grad_out);
+    EXPECT_LT(max_diff(din, ref.grad_in), kTol) << "input gradient";
+    EXPECT_LT(max_diff(conv.weight().grad, ref.grad_weight), kTol)
         << "weight gradient";
-    EXPECT_LT(max_diff(gemm.bias().grad, naive.bias().grad), kTol)
+    EXPECT_LT(max_diff(conv.bias().grad, ref.grad_bias), kTol)
         << "bias gradient";
   }
 }
 
-TEST(ConvGemmParity, SetImplSwitchesKernelInPlace) {
+TEST(ConvGemmParity, InferenceForwardMatchesNaive) {
   util::Rng rng(3), rng_in(5);
-  Conv2DConfig cfg = make_cfg(kCases[2], ConvImpl::kGemm);
+  const Conv2DConfig cfg = make_cfg(kCases[2]);
   Conv2D conv("c", cfg, rng);
   const Tensor in = Tensor::uniform(Shape{2, 3, 15, 15}, -1.f, 1.f, rng_in);
-  const Tensor out_gemm = conv.forward(in, false);
-  conv.set_impl(ConvImpl::kNaive);
-  const Tensor out_naive = conv.forward(in, false);
-  EXPECT_LT(max_diff(out_gemm, out_naive), 1e-4f);
+  const Tensor out = conv.forward(in, /*training=*/false);
+  const Tensor out_n = oracle::naive_conv_forward(cfg, in, conv.weight().value,
+                                                  conv.bias().value);
+  EXPECT_LT(max_diff(out, out_n), 1e-4f);
 }
 
 }  // namespace

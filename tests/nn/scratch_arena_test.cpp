@@ -60,7 +60,6 @@ TEST_F(ScratchArena, ConvSteadyStateDoesNotReallocate) {
   cc.kernel = 3;
   cc.stride = 1;
   cc.pad = 1;
-  cc.impl = ConvImpl::kGemm;
   Conv2D conv("c", cc, rng);
   tensor::Tensor in(tensor::Shape{2, 3, 12, 12});
   util::Rng fill(12);

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "nn/model_zoo.hpp"
 #include "util/rng.hpp"
@@ -11,9 +12,16 @@
 namespace ls::nn {
 namespace {
 
+// One checkpoint file per test: ctest runs every case as its own process,
+// in parallel under -j, so a shared name would let cases clobber each other.
+std::string checkpoint_path() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "lsnn_checkpoint_" + info->name() + ".bin";
+}
+
 class SerializeTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "lsnn_checkpoint.bin";
+  std::string path_ = checkpoint_path();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -24,7 +24,10 @@ TEST(BenchCompare, DirectionHeuristics) {
             MetricDirection::kHigherBetter);
   EXPECT_EQ(metric_direction("mm_simd_gflops"),
             MetricDirection::kHigherBetter);
+  EXPECT_EQ(metric_direction("flits_per_s"), MetricDirection::kHigherBetter);
   EXPECT_EQ(metric_direction("gemm_fwd_ms"), MetricDirection::kLowerBetter);
+  EXPECT_EQ(metric_direction("wall_s"), MetricDirection::kLowerBetter);
+  EXPECT_EQ(metric_direction("setup_s"), MetricDirection::kLowerBetter);
   EXPECT_EQ(metric_direction("makespan_cycles"),
             MetricDirection::kLowerBetter);
   EXPECT_EQ(metric_direction("comm_rel_error"),

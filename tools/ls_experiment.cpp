@@ -33,10 +33,13 @@
 // histograms, NoC link heatmap) when the run finishes. The LS_TRACE /
 // LS_METRICS environment variables do the same for any command.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +70,11 @@ namespace {
 
 using namespace ls;
 
+/// A flag value the command line cannot mean: main prints it and exits 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Args {
   std::map<std::string, std::string> kv;
   bool flag(const std::string& name) const { return kv.count("--" + name); }
@@ -74,9 +82,28 @@ struct Args {
     const auto it = kv.find("--" + name);
     return it == kv.end() ? dflt : it->second;
   }
+  /// Real-valued flag; the whole value must parse as a number.
   double num(const std::string& name, double dflt) const {
+    return parse_whole(name, dflt, "a number");
+  }
+  /// Count flag (cores, requests, epochs, seeds, ...): a non-negative
+  /// decimal integer, so "-1" is rejected rather than wrapped.
+  std::uint64_t count(const std::string& name, std::uint64_t dflt) const {
+    return parse_whole(name, dflt, "a non-negative integer");
+  }
+
+ private:
+  template <typename T>
+  T parse_whole(const std::string& name, T dflt, const char* what) const {
     const auto it = kv.find("--" + name);
-    return it == kv.end() ? dflt : std::atof(it->second.c_str());
+    if (it == kv.end()) return dflt;
+    const std::string& v = it->second;
+    T out{};
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      throw UsageError("--" + name + " expects " + what + ", got '" + v + "'");
+    }
+    return out;
   }
 };
 
@@ -116,16 +143,16 @@ nn::NetSpec analytic_net(const std::string& name) {
 int cmd_sparsified(const Args& args) {
   const nn::NetSpec spec = expt_net(args.str("net", "mlp"));
   sim::ExperimentConfig cfg;
-  cfg.cores = static_cast<std::size_t>(args.num("cores", 16));
-  cfg.train.epochs = static_cast<std::size_t>(args.num("epochs", 4));
+  cfg.cores = static_cast<std::size_t>(args.count("cores", 16));
+  cfg.train.epochs = static_cast<std::size_t>(args.count("epochs", 4));
   cfg.lambda_ss = args.num("lambda", 0.5);
   cfg.lambda_mask = args.num("lambda", 0.5);
   cfg.mask_exponent = args.num("exponent", 1.0);
   cfg.granularity = args.flag("block") ? core::Granularity::kBlock
                                        : core::Granularity::kFeatureMap;
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 42));
+  cfg.seed = args.count("seed", 42);
   cfg.verbose = args.flag("verbose");
-  const auto samples = static_cast<std::size_t>(args.num("samples", 768));
+  const auto samples = static_cast<std::size_t>(args.count("samples", 768));
 
   const auto train_set = sim::dataset_for(spec, samples, 1);
   const auto test_set = sim::dataset_for(spec, samples / 3, 2);
@@ -147,19 +174,19 @@ int cmd_sparsified(const Args& args) {
 }
 
 int cmd_structure(const Args& args) {
-  const auto c1 = static_cast<std::size_t>(args.num("c1", 32));
-  const auto c2 = static_cast<std::size_t>(args.num("c2", 64));
-  const auto c3 = static_cast<std::size_t>(args.num("c3", 128));
-  const auto groups = static_cast<std::size_t>(args.num("groups", 16));
+  const auto c1 = static_cast<std::size_t>(args.count("c1", 32));
+  const auto c2 = static_cast<std::size_t>(args.count("c2", 64));
+  const auto c3 = static_cast<std::size_t>(args.count("c3", 128));
+  const auto groups = static_cast<std::size_t>(args.count("groups", 16));
   sim::ExperimentConfig cfg;
-  cfg.cores = static_cast<std::size_t>(args.num("cores", 16));
-  cfg.train.epochs = static_cast<std::size_t>(args.num("epochs", 3));
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 42));
+  cfg.cores = static_cast<std::size_t>(args.count("cores", 16));
+  cfg.train.epochs = static_cast<std::size_t>(args.count("epochs", 3));
+  cfg.seed = args.count("seed", 42);
 
   const nn::NetSpec dense = nn::convnet_variant_expt_spec(c1, c2, c3, 1);
   const nn::NetSpec grouped =
       nn::convnet_variant_expt_spec(c1, c2, c3, groups);
-  const auto samples = static_cast<std::size_t>(args.num("samples", 768));
+  const auto samples = static_cast<std::size_t>(args.count("samples", 768));
   const auto train_set = sim::dataset_for(dense, samples, 1);
   const auto test_set = sim::dataset_for(dense, samples / 3, 2);
 
@@ -179,7 +206,7 @@ int cmd_structure(const Args& args) {
 
 int cmd_traffic(const Args& args) {
   const nn::NetSpec spec = analytic_net(args.str("net", "alexnet"));
-  const auto cores = static_cast<std::size_t>(args.num("cores", 16));
+  const auto cores = static_cast<std::size_t>(args.count("cores", 16));
   const noc::MeshTopology topo = noc::MeshTopology::for_cores(cores);
   const auto traffic = core::traffic_dense(spec, topo, 2);
   util::Table t(spec.name + " dense traffic, " + std::to_string(cores) +
@@ -199,7 +226,7 @@ int cmd_traffic(const Args& args) {
 int cmd_pipeline(const Args& args) {
   const nn::NetSpec spec = analytic_net(args.str("net", "alexnet"));
   sim::SystemConfig cfg;
-  cfg.cores = static_cast<std::size_t>(args.num("cores", 16));
+  cfg.cores = static_cast<std::size_t>(args.count("cores", 16));
   const auto assignment =
       core::assign_pipeline(spec, cfg.cores, cfg.bytes_per_value);
   const auto r = sim::run_pipeline(spec, assignment, cfg);
@@ -224,8 +251,8 @@ int cmd_pipeline(const Args& args) {
 /// Applies the shared --cores / --chips / --no-cache knobs. CmpSystem's
 /// constructor rejects a chip count that cannot tile the cores.
 void apply_system_args(const Args& args, sim::SystemConfig* cfg) {
-  cfg->cores = static_cast<std::size_t>(args.num("cores", 16));
-  cfg->chips = static_cast<std::size_t>(args.num("chips", 1));
+  cfg->cores = static_cast<std::size_t>(args.count("cores", 16));
+  cfg->chips = static_cast<std::size_t>(args.count("chips", 1));
   if (args.flag("no-cache")) cfg->noc_result_cache = false;
 }
 
@@ -363,7 +390,7 @@ int cmd_stream(const Args& args) {
   const nn::NetSpec spec = analytic_net(args.str("net", "convnet"));
   sim::SystemConfig cfg;
   apply_system_args(args, &cfg);
-  const auto requests = static_cast<std::size_t>(args.num("requests", 8));
+  const auto requests = static_cast<std::size_t>(args.count("requests", 8));
   const sim::CmpSystem system(cfg);
   const auto traffic =
       core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
@@ -402,10 +429,10 @@ int cmd_tune(const Args& args) {
       core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
 
   tune::TunerConfig tcfg;
-  tcfg.budget = static_cast<std::uint64_t>(args.num("budget", 2000));
-  tcfg.restarts = static_cast<std::size_t>(args.num("restarts", 4));
-  tcfg.top_k = static_cast<std::size_t>(args.num("top-k", 3));
-  tcfg.seed = static_cast<std::uint64_t>(args.num("seed", 0x4c535343));
+  tcfg.budget = args.count("budget", 2000);
+  tcfg.restarts = static_cast<std::size_t>(args.count("restarts", 4));
+  tcfg.top_k = static_cast<std::size_t>(args.count("top-k", 3));
+  tcfg.seed = args.count("seed", 0x4c535343);
   const tune::TuneOutcome out = tune::tune(spec, traffic, cfg, tcfg);
 
   util::Table t("tuned " + spec.name + " on " + system_desc(cfg));
@@ -591,7 +618,7 @@ int cmd_profile(const Args& args) {
   const nn::NetSpec spec = analytic_net(args.str("net", "convnet"));
   sim::SystemConfig cfg;
   apply_system_args(args, &cfg);
-  const auto requests = static_cast<std::size_t>(args.num("requests", 8));
+  const auto requests = static_cast<std::size_t>(args.count("requests", 8));
   const sim::CmpSystem system(cfg);
   const auto traffic =
       core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
@@ -615,14 +642,13 @@ int cmd_profile(const Args& args) {
   // (--tune-budget 0 skips it; it shares no state with the run above).
   tune::TuneOutcome tuned;
   tune::TuneTelemetry telemetry;
-  const auto tune_budget =
-      static_cast<std::uint64_t>(args.num("tune-budget", 400));
+  const std::uint64_t tune_budget = args.count("tune-budget", 400);
   if (tune_budget > 0) {
     tune::TunerConfig tcfg;
     tcfg.budget = tune_budget;
-    tcfg.restarts = static_cast<std::size_t>(args.num("restarts", 4));
-    tcfg.top_k = static_cast<std::size_t>(args.num("top-k", 3));
-    tcfg.seed = static_cast<std::uint64_t>(args.num("seed", 0x4c535343));
+    tcfg.restarts = static_cast<std::size_t>(args.count("restarts", 4));
+    tcfg.top_k = static_cast<std::size_t>(args.count("top-k", 3));
+    tcfg.seed = args.count("seed", 0x4c535343);
     tuned = tune::tune(spec, traffic, cfg, tcfg,
                        sched::Strategy::kTraditional, &telemetry);
   }
@@ -789,6 +815,9 @@ int main(int argc, char** argv) {
     } else {
       usage();
     }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    rc = 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     rc = 1;

@@ -216,15 +216,15 @@ done
 grep -q '"blame"' "$profile_dir/profile_convnet_16.json"
 grep -q '"model_error"' "$profile_dir/profile_alexnet_64.json"
 
-# The blame decomposition is cycle-domain: wall-clock kernels never feed
-# the cost model, so swapping the GEMM backend must not move a single
-# byte of the profile (the compute tripwire would fire inside otherwise).
-LS_CONV_IMPL=simd "$build_dir/tools/ls_experiment" profile --net convnet \
+# The blame decomposition is cycle-domain: how the host executes (here the
+# pool size) never feeds the cost model, so a one-thread re-run must not
+# move a single byte of the profile.
+LS_THREADS=1 "$build_dir/tools/ls_experiment" profile --net convnet \
   --cores 16 --requests 8 --tune-budget 0 --no-tuned \
-  --out "$profile_dir/profile_convnet_16_simd.json" >/dev/null
+  --out "$profile_dir/profile_convnet_16_1thread.json" >/dev/null
 cmp "$profile_dir/profile_convnet_16.json" \
-    "$profile_dir/profile_convnet_16_simd.json" || {
-  echo "profile smoke: simd backend changed the cycle-domain profile" >&2
+    "$profile_dir/profile_convnet_16_1thread.json" || {
+  echo "profile smoke: pool size changed the cycle-domain profile" >&2
   exit 1; }
 
 # Observability smoke: an AlexNet 16-core inference must produce a valid
