@@ -10,6 +10,8 @@
 #include "nn/conv2d.hpp"
 #include "nn/model_zoo.hpp"
 #include "noc/simulator.hpp"
+#include "sched/schedule.hpp"
+#include "sim/system.hpp"
 #include "train/group_lasso.hpp"
 #include "train/masks.hpp"
 #include "util/rng.hpp"
@@ -53,12 +55,39 @@ void BM_NocAllToAll(benchmark::State& state) {
       if (s != d) msgs.push_back({s, d, 1024, 0});
     }
   }
+  std::uint64_t flits = 0;
   for (auto _ : state) {
     const auto stats = sim.run(msgs);
+    flits += stats.total_flits;
     benchmark::DoNotOptimize(stats.completion_cycle);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(flits));
 }
-BENCHMARK(BM_NocAllToAll)->Arg(16)->Arg(32);
+BENCHMARK(BM_NocAllToAll)->Arg(16)->Arg(32)->Arg(64);
+
+// Every layer-transition burst of the kernel-wise AlexNet schedule on a
+// 64-core mesh (the paper's TABLE II NoC), one sim.run per burst.
+void BM_NocAlexNet64KernelWise(benchmark::State& state) {
+  sim::SystemConfig cfg;
+  cfg.cores = 64;
+  const sim::CmpSystem system(cfg);
+  const nn::NetSpec spec = nn::alexnet_spec();
+  const sched::Schedule schedule = system.build_schedule(
+      spec,
+      core::traffic_dense(spec, system.topology(), cfg.bytes_per_value));
+  const noc::MeshNocSimulator sim(system.topology(), cfg.noc);
+  std::uint64_t flits = 0;
+  for (auto _ : state) {
+    for (const sched::Event& e : schedule.events) {
+      if (e.kind != sched::EventKind::kComm) continue;
+      const auto stats = sim.run(e.messages);
+      flits += stats.total_flits;
+      benchmark::DoNotOptimize(stats.completion_cycle);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(flits));
+}
+BENCHMARK(BM_NocAlexNet64KernelWise)->Unit(benchmark::kMillisecond);
 
 void BM_ConvForward(benchmark::State& state) {
   util::Rng rng(2);

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
-#include <deque>
 #include <queue>
 #include <stdexcept>
+#include <vector>
 
 #include "check/check.hpp"
 #include "obs/trace.hpp"
@@ -51,14 +52,18 @@ struct Flit {
   std::uint32_t packet = 0;
   std::uint16_t dst = 0;
   bool tail = false;
+  /// Output port at the router buffering the flit, looked up when it lands
+  /// there (kLocal while queued at its source or on a link).
+  std::uint8_t out = kLocal;
 };
 
+/// A flit on a link, landing at `arrival` in input slot `slot` (port x VC)
+/// of `router`.
 struct InFlight {
   std::uint64_t arrival = 0;
   Flit flit;
-  std::size_t router = 0;
-  std::size_t port = 0;
-  std::size_t vc = 0;
+  std::uint32_t router = 0;
+  std::uint32_t slot = 0;
 };
 
 struct InFlightLater {
@@ -104,31 +109,25 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
 
   const std::size_t n = topo_.num_cores();
   const std::size_t vcs = cfg_.vcs;
-
-  // Input buffers: [router][port][vc] FIFO of flits.
-  std::vector<std::deque<Flit>> fifo(n * kNumPorts * vcs);
-  // Occupancy counts FIFO contents plus in-flight flits headed there
-  // (credit accounting happens at send time).
-  std::vector<std::size_t> occupancy(n * kNumPorts * vcs, 0);
-  auto buf_idx = [vcs](std::size_t router, std::size_t port, std::size_t vc) {
-    return (router * kNumPorts + port) * vcs + vc;
-  };
+  // Input slots per router: (port, VC) pairs, slot = port * vcs + vc. At
+  // most 5 x 8 = 40, so one 64-bit mask covers a router.
+  const std::size_t slots = kNumPorts * vcs;
+  const std::size_t depth = cfg_.vc_depth;
 
   // Packet bookkeeping.
   struct PacketInfo {
     std::uint64_t inject = 0;
-    std::uint64_t delivered = 0;
     bool done = false;
   };
   std::vector<PacketInfo> packets;
 
-  // Pending injection flits per source node, in order.
+  // Pending injection flits per source node, in message order; the VC is
+  // the packet id mod vcs.
   struct PendingFlit {
     std::uint64_t ready = 0;
     Flit flit;
-    std::size_t vc = 0;
   };
-  std::vector<std::deque<PendingFlit>> inject_q(n);
+  std::vector<std::vector<PendingFlit>> inject_q(n);
 
   NocStats stats;
   obs::Span phase_span;
@@ -141,14 +140,13 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
     while (flits_left > 0) {
       const std::size_t in_pkt = std::min(flits_left, cfg_.max_packet_flits);
       const auto pkt_id = static_cast<std::uint32_t>(next_packet++);
-      const std::size_t vc = pkt_id % vcs;
-      packets.push_back({m.inject_cycle, 0, false});
+      packets.push_back({m.inject_cycle, false});
       for (std::size_t f = 0; f < in_pkt; ++f) {
         Flit flit;
         flit.packet = pkt_id;
         flit.dst = static_cast<std::uint16_t>(m.dst);
         flit.tail = (f + 1 == in_pkt);
-        inject_q[m.src].push_back({m.inject_cycle, flit, vc});
+        inject_q[m.src].push_back({m.inject_cycle, flit});
         ++stats.total_flits;
       }
       flits_left -= in_pkt;
@@ -174,48 +172,91 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
 
   if (obs::trace_enabled()) phase_span.begin("noc.drain", "noc");
 
+  // Routing tables, built per run (constructing a simulator stays free):
+  // the output port from each router toward each destination, and each
+  // router's neighbor per port.
+  std::vector<std::uint8_t> next_hop(n * n, kLocal);
+  std::vector<std::uint32_t> neighbor(n * kNumPorts, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Coord here = topo_.coord(r);
+    for (std::size_t d = 0; d < n; ++d) {
+      const Coord there = topo_.coord(d);
+      const Port along_x = there.x > here.x   ? kEast
+                           : there.x < here.x ? kWest
+                                              : kLocal;
+      const Port along_y = there.y > here.y   ? kSouth
+                           : there.y < here.y ? kNorth
+                                              : kLocal;
+      const bool xy = cfg_.routing == Routing::kXY;
+      const Port first = xy ? along_x : along_y;
+      next_hop[r * n + d] = first != kLocal ? first : xy ? along_y : along_x;
+    }
+    const auto link = [&](Port dir, std::size_t x, std::size_t y) {
+      neighbor[r * kNumPorts + dir] =
+          static_cast<std::uint32_t>(topo_.core_at({x, y}));
+    };
+    if (here.y > 0) link(kNorth, here.x, here.y - 1);
+    if (here.y + 1 < topo_.rows()) link(kSouth, here.x, here.y + 1);
+    if (here.x > 0) link(kWest, here.x - 1, here.y);
+    if (here.x + 1 < topo_.cols()) link(kEast, here.x + 1, here.y);
+  }
+
+  // Input buffers: one flat ring of `depth` flits per (router, slot), at
+  // buffer index r * slots + slot. `held` is what a ring holds;
+  // `occupancy` adds the flits in flight toward it (credits are taken at
+  // send time), so a ring never holds more than `depth`.
+  std::vector<Flit> ring(n * slots * depth);
+  std::vector<std::uint32_t> head(n * slots, 0);
+  std::vector<std::uint32_t> held(n * slots, 0);
+  std::vector<std::uint32_t> occupancy(n * slots, 0);
+  // Non-empty input slots per router, and the routers with any.
+  std::vector<std::uint64_t> busy_slots(n, 0);
+  std::vector<std::uint64_t> busy_routers((n + 63) / 64, 0);
+  std::uint8_t slot_vc[kNumPorts * 8] = {};
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    slot_vc[slot] = static_cast<std::uint8_t>(slot % vcs);
+  }
+
+  auto push = [&](std::size_t r, std::size_t slot, Flit flit) {
+    const std::size_t bi = r * slots + slot;
+    flit.out = next_hop[r * n + flit.dst];
+    std::size_t at = head[bi] + held[bi];
+    if (at >= depth) at -= depth;
+    ring[bi * depth + at] = flit;
+    ++held[bi];
+    busy_slots[r] |= std::uint64_t{1} << slot;
+    busy_routers[r / 64] |= std::uint64_t{1} << (r % 64);
+  };
+  auto pop = [&](std::size_t r, std::size_t slot) {
+    const std::size_t bi = r * slots + slot;
+    if (++head[bi] == depth) head[bi] = 0;
+    if (--held[bi] == 0) {
+      busy_slots[r] &= ~(std::uint64_t{1} << slot);
+      if (busy_slots[r] == 0) {
+        busy_routers[r / 64] &= ~(std::uint64_t{1} << (r % 64));
+      }
+    }
+  };
+
+  // The heap decides the order in which flits landing in one cycle enter a
+  // ring, and two flits can land in the same ring in the same cycle; its
+  // comparator and push/pop sequence are part of the model's output.
   std::priority_queue<InFlight, std::vector<InFlight>, InFlightLater> in_flight;
 
-  // Round-robin pointers per (router, output port).
-  std::vector<std::size_t> rr(n * kNumPorts, 0);
+  // Sources with flits still to inject, and each one's next flit.
+  std::vector<std::size_t> sources;
+  std::vector<std::size_t> inject_pos(n, 0);
+  for (std::size_t src = 0; src < n; ++src) {
+    if (!inject_q[src].empty()) sources.push_back(src);
+  }
+
   // Flit counts per directed inter-router link (router x direction).
   std::vector<std::uint64_t> link_flits(n * kNumPorts, 0);
-
-  auto route_dir = [this](std::size_t router, std::size_t dst) -> Port {
-    const Coord here = topo_.coord(router);
-    const Coord there = topo_.coord(dst);
-    if (cfg_.routing == Routing::kXY) {
-      if (there.x > here.x) return kEast;
-      if (there.x < here.x) return kWest;
-      if (there.y > here.y) return kSouth;
-      if (there.y < here.y) return kNorth;
-    } else {
-      if (there.y > here.y) return kSouth;
-      if (there.y < here.y) return kNorth;
-      if (there.x > here.x) return kEast;
-      if (there.x < here.x) return kWest;
-    }
-    return kLocal;
-  };
-  auto neighbor = [this](std::size_t router, Port dir) -> std::size_t {
-    const Coord c = topo_.coord(router);
-    switch (dir) {
-      case kNorth:
-        return topo_.core_at({c.x, c.y - 1});
-      case kSouth:
-        return topo_.core_at({c.x, c.y + 1});
-      case kWest:
-        return topo_.core_at({c.x - 1, c.y});
-      case kEast:
-        return topo_.core_at({c.x + 1, c.y});
-      default:
-        return router;
-    }
-  };
 
   std::uint64_t delivered_flits = 0;
   std::uint64_t total_pkt_latency = 0;
   std::uint64_t cycle = 0;
+  const std::uint64_t all_slots = (std::uint64_t{1} << slots) - 1;
 
   for (; delivered_flits < stats.total_flits; ++cycle) {
     if (cycle > max_cycles) {
@@ -226,86 +267,109 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
     while (!in_flight.empty() && in_flight.top().arrival <= cycle) {
       const InFlight f = in_flight.top();
       in_flight.pop();
-      fifo[buf_idx(f.router, f.port, f.vc)].push_back(f.flit);
+      push(f.router, f.slot, f.flit);
       // occupancy was already incremented at send time
     }
 
-    // 2. Injection: move pending flits into the local input port.
-    for (std::size_t src = 0; src < n; ++src) {
+    // 2. Injection: move pending flits into the local input port. Sources
+    // touch only their own router's local slots, so their order is free.
+    for (std::size_t i = 0; i < sources.size();) {
+      const std::size_t src = sources[i];
+      const auto& q = inject_q[src];
+      std::size_t& pos = inject_pos[src];
       std::size_t injected = 0;
-      while (!inject_q[src].empty() && injected < cfg_.phys_channels) {
-        const PendingFlit& pf = inject_q[src].front();
+      while (pos < q.size() && injected < cfg_.phys_channels) {
+        const PendingFlit& pf = q[pos];
         if (pf.ready > cycle) break;
-        const std::size_t bi = buf_idx(src, kLocal, pf.vc);
-        if (occupancy[bi] >= cfg_.vc_depth) break;
-        ++occupancy[bi];
-        fifo[bi].push_back(pf.flit);
-        inject_q[src].pop_front();
+        const std::size_t slot = kLocal * vcs + pf.flit.packet % vcs;
+        std::uint32_t& occ = occupancy[src * slots + slot];
+        if (occ >= depth) break;
+        ++occ;
+        push(src, slot, pf.flit);
+        ++pos;
         ++injected;
+      }
+      if (pos == q.size()) {
+        sources[i] = sources.back();
+        sources.pop_back();
+      } else {
+        ++i;
       }
     }
 
     // 3. Switch allocation: per router, per output direction, grant up to
-    // phys_channels head flits (round-robin over input port x vc).
-    for (std::size_t r = 0; r < n; ++r) {
-      // Track single-dequeue-per-cycle per input (port,vc).
-      bool popped[kNumPorts][8] = {};
-      for (std::size_t out = 0; out < kNumPorts; ++out) {
-        const auto dir = static_cast<Port>(out);
-        std::size_t granted = 0;
-        const std::size_t slots = kNumPorts * vcs;
-        std::size_t& ptr = rr[r * kNumPorts + out];
-        for (std::size_t step = 0; step < slots && granted < cfg_.phys_channels;
-             ++step) {
-          const std::size_t slot = (ptr + step) % slots;
-          const std::size_t in_port = slot / vcs;
-          const std::size_t vc = slot % vcs;
-          if (popped[in_port][vc]) continue;
-          auto& q = fifo[buf_idx(r, in_port, vc)];
-          if (q.empty()) continue;
-          const Flit& head = q.front();
-          if (route_dir(r, head.dst) != dir) continue;
-
-          if (dir == kLocal) {
-            // Ejection.
-            PacketInfo& pkt = packets[head.packet];
-            if (head.tail) {
-              pkt.delivered = cycle;
-              pkt.done = true;
-              const std::uint64_t lat = cycle - pkt.inject;
-              total_pkt_latency += lat;
-              stats.max_packet_latency =
-                  std::max(stats.max_packet_latency, lat);
-            }
-            ++stats.router_traversals;
-            ++delivered_flits;
-            --occupancy[buf_idx(r, in_port, vc)];
-            q.pop_front();
-            popped[in_port][vc] = true;
-            ++granted;
-            continue;
-          }
-
-          const std::size_t next_r = neighbor(r, dir);
-          const std::size_t next_bi = buf_idx(next_r, opposite(dir), vc);
-          if (occupancy[next_bi] >= cfg_.vc_depth) continue;  // no credit
-          ++occupancy[next_bi];
-          --occupancy[buf_idx(r, in_port, vc)];
-          InFlight fl;
-          fl.arrival = cycle + cfg_.router_latency + 1;
-          fl.flit = head;
-          fl.router = next_r;
-          fl.port = opposite(dir);
-          fl.vc = vc;
-          in_flight.push(fl);
-          ++link_flits[r * kNumPorts + out];
-          ++stats.flit_hops;
-          ++stats.router_traversals;
-          q.pop_front();
-          popped[in_port][vc] = true;
-          ++granted;
+    // phys_channels head flits, round-robin over the input slots. Every
+    // (router, output) round-robin pointer advances once per cycle whether
+    // or not it grants, so it equals cycle % slots: no pointer state is
+    // kept, and routers with nothing buffered can be skipped. Busy routers
+    // still go in ascending order: a credit freed by router r's pop is
+    // visible to higher-numbered routers in the same cycle.
+    const std::size_t rot = cycle % slots;
+    for (std::size_t w = 0; w < busy_routers.size(); ++w) {
+      for (std::uint64_t rbits = busy_routers[w]; rbits != 0;
+           rbits &= rbits - 1) {
+        const std::size_t r = w * 64 + std::countr_zero(rbits);
+        // One request mask per output port, from the heads buffered as the
+        // router starts. A slot pops at most once per cycle, so a head a
+        // pop uncovers waits for the next cycle, and the masks stay exact
+        // while the ports are granted in turn.
+        std::uint64_t request[kNumPorts] = {};
+        for (std::uint64_t m = busy_slots[r]; m != 0; m &= m - 1) {
+          const auto slot = static_cast<std::size_t>(std::countr_zero(m));
+          const std::size_t bi = r * slots + slot;
+          request[ring[bi * depth + head[bi]].out] |= std::uint64_t{1} << slot;
         }
-        ptr = (ptr + 1) % slots;
+        for (std::size_t out = 0; out < kNumPorts; ++out) {
+          // Rotate the mask right by `rot`, so bit k is slot (rot + k) mod
+          // slots: rotation order is ascending bit order.
+          std::uint64_t m = request[out];
+          if (m == 0) continue;
+          m = ((m >> rot) | (m << (slots - rot))) & all_slots;
+          for (std::size_t granted = 0; m != 0 && granted < cfg_.phys_channels;
+               m &= m - 1) {
+            std::size_t slot = rot + std::countr_zero(m);
+            if (slot >= slots) slot -= slots;
+            const std::size_t bi = r * slots + slot;
+            const Flit head_flit = ring[bi * depth + head[bi]];
+
+            if (out == kLocal) {
+              // Ejection.
+              PacketInfo& pkt = packets[head_flit.packet];
+              if (head_flit.tail) {
+                pkt.done = true;
+                const std::uint64_t lat = cycle - pkt.inject;
+                total_pkt_latency += lat;
+                stats.max_packet_latency =
+                    std::max(stats.max_packet_latency, lat);
+              }
+              ++stats.router_traversals;
+              ++delivered_flits;
+              --occupancy[bi];
+              pop(r, slot);
+              ++granted;
+              continue;
+            }
+
+            const std::size_t next_r = neighbor[r * kNumPorts + out];
+            const std::size_t next_slot =
+                opposite(static_cast<Port>(out)) * vcs + slot_vc[slot];
+            std::uint32_t& next_occ = occupancy[next_r * slots + next_slot];
+            if (next_occ >= depth) continue;  // no credit
+            ++next_occ;
+            --occupancy[bi];
+            InFlight fl;
+            fl.arrival = cycle + cfg_.router_latency + 1;
+            fl.flit = head_flit;
+            fl.router = static_cast<std::uint32_t>(next_r);
+            fl.slot = static_cast<std::uint32_t>(next_slot);
+            in_flight.push(fl);
+            ++link_flits[r * kNumPorts + out];
+            ++stats.flit_hops;
+            ++stats.router_traversals;
+            pop(r, slot);
+            ++granted;
+          }
+        }
       }
     }
   }
@@ -320,8 +384,10 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
   // (and the ls::obs heatmap) are built on.
   if constexpr (check::kEnabled) {
     std::size_t undrained = in_flight.size();
-    for (const auto& q : inject_q) undrained += q.size();
-    for (const auto& q : fifo) undrained += q.size();
+    for (std::size_t src = 0; src < n; ++src) {
+      undrained += inject_q[src].size() - inject_pos[src];
+    }
+    for (const std::uint32_t h : held) undrained += h;
     LS_CHECK_MSG(undrained == 0,
                  "noc flit conservation: %llu flits injected, %llu "
                  "delivered, %zu left undrained",
@@ -332,7 +398,7 @@ NocStats MeshNocSimulator::run(const std::vector<Message>& messages,
                  static_cast<unsigned long long>(delivered_flits),
                  static_cast<unsigned long long>(stats.total_flits));
     std::size_t credits_out = 0;
-    for (const std::size_t occ : occupancy) credits_out += occ;
+    for (const std::uint32_t occ : occupancy) credits_out += occ;
     LS_CHECK_MSG(credits_out == 0,
                  "noc flit conservation: %zu buffer credits unreturned",
                  credits_out);

@@ -773,7 +773,8 @@ void usage() {
       "global observability flags (any command):\n"
       "  --trace out.json    write a Perfetto/chrome-trace timeline\n"
       "  --metrics out.json  dump the metrics registry (counters, heatmap)\n"
-      "  (or set LS_TRACE / LS_METRICS in the environment)");
+      "  (or set LS_TRACE / LS_METRICS in the environment)\n"
+      "  --help, -h          print this message and exit");
 }
 
 }  // namespace
@@ -782,6 +783,14 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     usage();
     return 2;
+  }
+  // A help request anywhere on the line prints usage and runs nothing.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      usage();
+      return 0;
+    }
   }
   const std::string cmd = argv[1];
   const Args args = parse(argc, argv, 2);
