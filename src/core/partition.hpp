@@ -22,11 +22,15 @@ struct UnitRange {
   friend bool operator==(const UnitRange&, const UnitRange&) = default;
 };
 
-/// Splits `units` into `parts` balanced contiguous ranges. The first
-/// (units % parts) ranges get one extra unit.
+/// Part `j` of the balanced split of `units` into `parts` contiguous
+/// ranges, in closed form: the first (units % parts) parts get one extra
+/// unit, so part j starts at j * base + min(j, extra).
+UnitRange balanced_range(std::size_t units, std::size_t parts, std::size_t j);
+
+/// All `parts` ranges of balanced_range(units, parts, j), in part order.
 std::vector<UnitRange> balanced_ranges(std::size_t units, std::size_t parts);
 
-/// Which part owns unit `u` under balanced_ranges(units, parts).
+/// Which part owns unit `u` under balanced_range(units, parts, ·).
 std::size_t owner_of(std::size_t u, std::size_t units, std::size_t parts);
 
 }  // namespace ls::core

@@ -87,6 +87,9 @@ class MeshNocSimulator {
   /// Closed-form zero-load check value: serialization + per-hop pipeline
   /// latency of a single message, ignoring contention. Used by tests.
   std::uint64_t zero_load_latency(const Message& m) const;
+  /// The same formula for a message of `flits` flits (at least one is
+  /// sent) over a `hops`-hop route, for callers that already know both.
+  std::uint64_t zero_load_latency(std::size_t hops, std::size_t flits) const;
 
   const MeshTopology& topology() const { return topo_; }
   const NocConfig& config() const { return cfg_; }

@@ -89,7 +89,7 @@ Box owned_box(const nn::LayerAnalysis& a, PartitionDim d, std::size_t j,
   switch (d) {
     case PartitionDim::kKernel:
     case PartitionDim::kChannel: {
-      const auto r = core::balanced_ranges(out_units(a), P)[j];
+      const auto r = core::balanced_range(out_units(a), P, j);
       // FC feature axis == channel axis (OutGeom), conv likewise.
       box.c0 = r.begin;
       box.c1 = r.end;
@@ -99,13 +99,13 @@ Box owned_box(const nn::LayerAnalysis& a, PartitionDim d, std::size_t j,
       if (j != 0) box = Box{};
       break;
     case PartitionDim::kHeight: {
-      const auto r = core::balanced_ranges(g.h, P)[j];
+      const auto r = core::balanced_range(g.h, P, j);
       box.h0 = r.begin;
       box.h1 = r.end;
       break;
     }
     case PartitionDim::kWidth: {
-      const auto r = core::balanced_ranges(g.w, P)[j];
+      const auto r = core::balanced_range(g.w, P, j);
       box.w0 = r.begin;
       box.w1 = r.end;
       break;
@@ -126,12 +126,12 @@ Box needed_box(const nn::LayerAnalysis& a, PartitionDim d, std::size_t j,
     case PartitionDim::kKernel:
       // A partition with no output units computes nothing and gathers
       // nothing (out_units < P leaves trailing partitions empty).
-      return core::balanced_ranges(out_units(a), P)[j].count() > 0 ? full
-                                                                   : Box{};
+      return core::balanced_range(out_units(a), P, j).count() > 0 ? full
+                                                                  : Box{};
     case PartitionDim::kBatch:
       return j == 0 ? full : Box{};
     case PartitionDim::kHeight: {
-      const auto r = core::balanced_ranges(a.out.h, P)[j];
+      const auto r = core::balanced_range(a.out.h, P, j);
       if (r.count() == 0) return Box{};
       const std::size_t s = a.spec.stride;
       const std::size_t k = a.spec.kernel;
@@ -144,7 +144,7 @@ Box needed_box(const nn::LayerAnalysis& a, PartitionDim d, std::size_t j,
       return box;
     }
     case PartitionDim::kWidth: {
-      const auto r = core::balanced_ranges(a.out.w, P)[j];
+      const auto r = core::balanced_range(a.out.w, P, j);
       if (r.count() == 0) return Box{};
       const std::size_t s = a.spec.stride;
       const std::size_t k = a.spec.kernel;
@@ -157,7 +157,7 @@ Box needed_box(const nn::LayerAnalysis& a, PartitionDim d, std::size_t j,
       return box;
     }
     case PartitionDim::kChannel: {
-      const auto r = core::balanced_ranges(in_units(a), P)[j];
+      const auto r = core::balanced_range(in_units(a), P, j);
       if (r.count() == 0) return Box{};
       Box box = full;
       map_axis(r.begin, r.end, in_units(a), prev.c, &box.c0, &box.c1);
@@ -339,14 +339,17 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
       const double consumer_scale =
           static_cast<double>(a.in.numel()) /
           static_cast<double>(prev_geom.c * prev_geom.h * prev_geom.w);
+      std::vector<Box> owned(P);
+      for (std::size_t p = 0; p < P; ++p) {
+        owned[p] = owned_box(*prev_a, prev_dim, p, P);
+      }
       TransitionAccum accum(P);
       for (std::size_t c = 0; c < P; ++c) {
         const Box need = needed_box(a, dim, c, P, prev_geom);
         if (need.volume() == 0) continue;
         for (std::size_t p = 0; p < P; ++p) {
           if (p == c) continue;
-          const std::size_t vol =
-              intersect(owned_box(*prev_a, prev_dim, p, P), need).volume();
+          const std::size_t vol = intersect(owned[p], need).volume();
           accum.add(p, c,
                     static_cast<std::size_t>(
                         static_cast<double>(vol) * consumer_scale *

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "check/check.hpp"
 #include "noc/topology.hpp"
@@ -10,75 +11,121 @@ namespace ls::sched {
 
 namespace {
 
-// Directed-link load accumulator for one burst. Links are indexed as
-// (router, direction) with 4 mesh directions per router; the local
-// injection/ejection ports are tracked separately per core (they are
+// Directed-link load accumulator for one burst. A dimension-ordered route
+// loads one contiguous run of links along a row and one along a column, so
+// each run is recorded in O(1) in a difference array (+flits at the run's
+// first link, -flits past its last), one array per line and direction:
+// east/west per row, south/north per column. One prefix sweep per burst
+// then gives every directed link's load. Core coordinates come from a
+// table built once per estimate, so routing a message divides nothing.
+// The local injection/ejection ports are tracked per core (they are
 // single-channel — phys_channels multiplies mesh links only).
 class LinkLoads {
  public:
-  explicit LinkLoads(std::size_t cores)
-      : link_(cores * 4, 0), inject_(cores, 0), eject_(cores, 0) {}
-
-  void route(const noc::MeshTopology& topo, const noc::NocConfig& cfg,
-             std::size_t src, std::size_t dst, std::uint64_t flits) {
-    inject_[src] += flits;
-    eject_[dst] += flits;
-    noc::Coord at = topo.coord(src);
-    const noc::Coord to = topo.coord(dst);
-    const bool x_first = cfg.routing == noc::Routing::kXY;
-    for (int phase = 0; phase < 2; ++phase) {
-      const bool x_phase = (phase == 0) == x_first;
-      while (x_phase ? at.x != to.x : at.y != to.y) {
-        std::size_t dir;  // 0=east 1=west 2=south 3=north
-        noc::Coord next = at;
-        if (x_phase) {
-          dir = to.x > at.x ? 0 : 1;
-          next.x = to.x > at.x ? at.x + 1 : at.x - 1;
-        } else {
-          dir = to.y > at.y ? 2 : 3;
-          next.y = to.y > at.y ? at.y + 1 : at.y - 1;
-        }
-        link_[topo.core_at(at) * 4 + dir] += flits;
-        at = next;
-      }
+  LinkLoads(const noc::MeshTopology& topo, noc::Routing routing)
+      : x_first_(routing == noc::Routing::kXY),
+        rows_(topo.rows()),
+        stride_(std::max(topo.cols(), topo.rows()) + 1),
+        diff_(2 * (topo.rows() + topo.cols()) * stride_, 0),
+        inject_(topo.num_cores(), 0),
+        eject_(topo.num_cores(), 0) {
+    at_.reserve(topo.num_cores());
+    for (std::size_t c = 0; c < topo.num_cores(); ++c) {
+      at_.push_back(topo.coord(c));
     }
   }
 
-  /// Cycles the most contended resource needs to pass its flits.
-  std::uint64_t bottleneck_cycles(std::size_t phys_channels) const {
-    std::uint64_t worst = 0;
-    for (const std::uint64_t load : link_) {
-      worst = std::max(worst, (load + phys_channels - 1) / phys_channels);
+  void clear() {
+    std::fill(diff_.begin(), diff_.end(), 0);
+    std::fill(inject_.begin(), inject_.end(), 0);
+    std::fill(eject_.begin(), eject_.end(), 0);
+  }
+
+  /// Loads the route of `flits` flits from src to dst; returns its hops.
+  std::size_t route(std::size_t src, std::size_t dst, std::uint64_t flits) {
+    if (src >= at_.size() || dst >= at_.size()) {
+      throw std::out_of_range("core id");
     }
+    inject_[src] += flits;
+    eject_[dst] += flits;
+    const std::size_t sx = at_[src].x, sy = at_[src].y;
+    const std::size_t dx = at_[dst].x, dy = at_[dst].y;
+    // XY turns at (dx, sy): the x run rides row sy, the y run column dx.
+    // YX turns at (sx, dy).
+    const auto f = static_cast<std::int64_t>(flits);
+    add_run(x_first_ ? sy : dy, sx, dx, f);
+    add_run(rows_ + (x_first_ ? dx : sx), sy, dy, f);
+    return (sx > dx ? sx - dx : dx - sx) + (sy > dy ? sy - dy : dy - sy);
+  }
+
+  /// Cycles the most contended resource needs to pass its flits. Ceiling
+  /// division is monotone, so dividing the largest link load equals the
+  /// largest per-link quotient.
+  std::uint64_t bottleneck_cycles(std::size_t phys_channels) const {
+    std::int64_t link = 0;
+    for (std::size_t base = 0; base < diff_.size(); base += stride_) {
+      std::int64_t load = 0;
+      for (std::size_t i = base; i < base + stride_; ++i) {
+        load += diff_[i];
+        link = std::max(link, load);
+      }
+    }
+    std::uint64_t worst =
+        (static_cast<std::uint64_t>(link) + phys_channels - 1) /
+        phys_channels;
     for (const std::uint64_t load : inject_) worst = std::max(worst, load);
     for (const std::uint64_t load : eject_) worst = std::max(worst, load);
     return worst;
   }
 
  private:
-  std::vector<std::uint64_t> link_;
+  /// Loads the links from router `from` to router `to` along `line` (rows
+  /// first, then columns). Each line holds a forward (east/south) then a
+  /// backward (west/north) array of `stride_` slots; slot i is the link
+  /// leaving router i, and the spare last slot takes the -flits of a run
+  /// that ends at the mesh edge.
+  void add_run(std::size_t line, std::size_t from, std::size_t to,
+               std::int64_t flits) {
+    std::int64_t* d = diff_.data() + 2 * line * stride_;
+    if (to > from) {
+      d[from] += flits;
+      d[to] -= flits;
+    } else if (to < from) {
+      d += stride_;
+      d[to + 1] += flits;
+      d[from + 1] -= flits;
+    }
+  }
+
+  bool x_first_;
+  std::size_t rows_;
+  std::size_t stride_;
+  std::vector<noc::Coord> at_;
+  std::vector<std::int64_t> diff_;
   std::vector<std::uint64_t> inject_;
   std::vector<std::uint64_t> eject_;
 };
 
+/// Estimates one burst whose endpoints sit `base` cores into the machine
+/// (the owning chip's first core; 0 on a single chip).
 std::uint64_t estimate_burst(const noc::MeshNocSimulator& sim,
-                             const std::vector<noc::Message>& messages) {
-  const noc::MeshTopology& topo = sim.topology();
-  const noc::NocConfig& cfg = sim.config();
-  LinkLoads loads(topo.num_cores());
+                             LinkLoads& loads,
+                             const std::vector<noc::Message>& messages,
+                             std::size_t base) {
+  loads.clear();
   std::uint64_t max_zero_load = 0;
   for (const noc::Message& m : messages) {
     if (m.src == m.dst || m.bytes == 0) continue;
-    loads.route(topo, cfg, m.src, m.dst,
-                static_cast<std::uint64_t>(sim.flits_for_bytes(m.bytes)));
-    max_zero_load = std::max(max_zero_load, sim.zero_load_latency(m));
+    const std::size_t flits = sim.flits_for_bytes(m.bytes);
+    const std::size_t hops = loads.route(m.src - base, m.dst - base, flits);
+    max_zero_load = std::max(max_zero_load, sim.zero_load_latency(hops, flits));
   }
   // Serialization-bound bursts drain at the bottleneck resource's rate
   // (plus the head-flit pipeline of the last packet through it);
   // latency-bound bursts finish with their slowest lone message.
   return std::max(max_zero_load,
-                  loads.bottleneck_cycles(cfg.phys_channels) +
-                      cfg.router_latency);
+                  loads.bottleneck_cycles(sim.config().phys_channels) +
+                      sim.config().router_latency);
 }
 
 }  // namespace
@@ -116,7 +163,7 @@ CycleEstimate estimate_cycles(const Schedule& schedule,
   CycleEstimate est;
   est.events.resize(schedule.events.size());
   std::uint64_t prev_compute = 0;
-  std::vector<noc::Message> local;
+  LinkLoads loads(topo, cfg.noc.routing);
   for (std::size_t i = 0; i < schedule.events.size(); ++i) {
     const Event& e = schedule.events[i];
     if (e.kind == EventKind::kComm) {
@@ -126,20 +173,13 @@ CycleEstimate estimate_cycles(const Schedule& schedule,
       std::uint64_t raw = 0;
       if (e.inter_chip) {
         raw = inter_chip_transfer_cycles(cfg.inter_chip, e.traffic_bytes);
-      } else if (schedule.chips > 1) {
-        // Localize the burst onto its owning chip's mesh coordinates.
-        const std::size_t base = e.chip * cores_per_chip;
-        local.clear();
-        local.reserve(e.messages.size());
-        for (const noc::Message& m : e.messages) {
-          local.push_back({m.src - base, m.dst - base, m.bytes, 0});
-        }
-        raw = static_cast<std::uint64_t>(
-            static_cast<double>(estimate_burst(sim, local)) *
-            cfg.noc_clock_divider);
       } else {
+        // The burst rides its owning chip's mesh coordinates.
+        const std::size_t base =
+            schedule.chips > 1 ? e.chip * cores_per_chip : 0;
         raw = static_cast<std::uint64_t>(
-            static_cast<double>(estimate_burst(sim, e.messages)) *
+            static_cast<double>(
+                estimate_burst(sim, loads, e.messages, base)) *
             cfg.noc_clock_divider);
       }
       std::uint64_t blocking = raw;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace ls::core {
 namespace {
 
@@ -48,6 +51,40 @@ TEST(BalancedRanges, ContiguousAndComplete) {
 
 TEST(BalancedRanges, RejectsZeroParts) {
   EXPECT_THROW(balanced_ranges(4, 0), std::invalid_argument);
+}
+
+// Exhaustive over units 0..300 x parts 1..70: each closed-form part
+// starts where the previous one ended, the parts cover [0, units), fat
+// parts (base + 1 units) come first, and owner_of names the part that
+// holds every unit. balanced_ranges must be exactly the per-part ranges.
+TEST(BalancedRange, ClosedFormSplitProperties) {
+  for (std::size_t units = 0; units <= 300; ++units) {
+    for (std::size_t parts = 1; parts <= 70; ++parts) {
+      SCOPED_TRACE("units=" + std::to_string(units) +
+                   " parts=" + std::to_string(parts));
+      const std::size_t base = units / parts;
+      const std::size_t extra = units % parts;
+      const auto all = balanced_ranges(units, parts);
+      ASSERT_EQ(all.size(), parts);
+      std::size_t cursor = 0;
+      for (std::size_t j = 0; j < parts; ++j) {
+        const UnitRange r = balanced_range(units, parts, j);
+        ASSERT_EQ(r, all[j]) << "j=" << j;
+        ASSERT_EQ(r.begin, cursor) << "j=" << j;
+        ASSERT_EQ(r.count(), j < extra ? base + 1 : base) << "j=" << j;
+        for (std::size_t u = r.begin; u < r.end; ++u) {
+          ASSERT_EQ(owner_of(u, units, parts), j) << "u=" << u;
+        }
+        cursor = r.end;
+      }
+      ASSERT_EQ(cursor, units);
+    }
+  }
+}
+
+TEST(BalancedRange, RejectsZeroPartsAndPartIndexPastTheEnd) {
+  EXPECT_THROW(balanced_range(4, 0, 0), std::invalid_argument);
+  EXPECT_THROW(balanced_range(4, 3, 3), std::out_of_range);
 }
 
 TEST(OwnerOf, MatchesRanges) {

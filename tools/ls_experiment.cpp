@@ -28,6 +28,10 @@
 // bit-exactly to the kernel-wise schedule when the store has no entry
 // (--no-tuned skips the lookup entirely).
 //
+// Every command refuses, with exit status 2 and before it runs anything, a
+// flag it does not read, a value flag without its value, and any stray
+// argument.
+//
 // Observability: `--trace out.json` writes a Chrome-trace/Perfetto timeline
 // and `--metrics out.json` dumps the process metrics registry (counters,
 // histograms, NoC link heatmap) when the run finishes. The LS_TRACE /
@@ -39,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -107,16 +112,36 @@ struct Args {
   }
 };
 
-Args parse(int argc, char** argv, int first) {
+/// The flags one command reads, without the leading "--". A switch takes
+/// no value, so a token after it is a stray argument, not its value.
+struct CommandFlags {
+  std::set<std::string> values;
+  std::set<std::string> switches;
+};
+
+/// Every command also takes the global --trace/--metrics. Anything not
+/// listed for the command, and any token that is neither a flag nor a
+/// value flag's value, is a usage error.
+Args parse(int argc, char** argv, const CommandFlags& known) {
   Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.kv[key] = argv[++i];
-    } else {
-      args.kv[key] = "1";
+  for (int i = 2; i < argc; ++i) {
+    const std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) {
+      throw UsageError("unexpected argument '" + key + "'");
     }
+    const std::string name = key.substr(2);
+    if (known.switches.count(name)) {
+      args.kv[key] = "1";
+      continue;
+    }
+    if (!known.values.count(name) && name != "trace" && name != "metrics") {
+      throw UsageError("unknown flag '" + key + "' for '" +
+                       std::string(argv[1]) + "'");
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      throw UsageError(key + " expects a value");
+    }
+    args.kv[key] = argv[++i];
   }
   return args;
 }
@@ -792,8 +817,54 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  const std::string cmd = argv[1];
-  const Args args = parse(argc, argv, 2);
+  struct Command {
+    int (*run)(const Args&);
+    CommandFlags flags;
+  };
+  const std::map<std::string, Command> commands = {
+      {"sparsified",
+       {cmd_sparsified,
+        {{"net", "cores", "lambda", "epochs", "samples", "seed", "exponent"},
+         {"block", "verbose"}}}},
+      {"structure",
+       {cmd_structure,
+        {{"c1", "c2", "c3", "groups", "cores", "epochs", "seed", "samples"},
+         {}}}},
+      {"traffic", {cmd_traffic, {{"net", "cores"}, {}}}},
+      {"pipeline", {cmd_pipeline, {{"net", "cores"}, {}}}},
+      {"infer",
+       {cmd_infer,
+        {{"net", "cores", "chips", "schedule-dump", "tuned-cache"},
+         {"overlap", "no-cache", "no-tuned"}}}},
+      {"stream",
+       {cmd_stream,
+        {{"net", "cores", "chips", "requests", "tuned-cache"},
+         {"no-cache", "no-tuned"}}}},
+      {"tune",
+       {cmd_tune,
+        {{"net", "cores", "chips", "budget", "restarts", "top-k", "seed",
+          "tuned-cache"},
+         {"overlap", "no-cache"}}}},
+      {"profile",
+       {cmd_profile,
+        {{"net", "cores", "chips", "requests", "out", "tune-budget",
+          "restarts", "top-k", "seed", "tuned-cache"},
+         {"no-cache", "no-tuned"}}}},
+      {"verify", {cmd_verify, {{"tuned-cache"}, {}}}},
+  };
+  const auto command = commands.find(argv[1]);
+  if (command == commands.end()) {
+    usage();
+    return 2;
+  }
+  // Unknown flags and stray arguments are refused before anything runs.
+  Args args;
+  try {
+    args = parse(argc, argv, command->second.flags);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   ls::obs::init_from_env();  // LS_TRACE / LS_METRICS
   const std::string trace_path = args.str("trace", "");
   const std::string metrics_path = args.str("metrics", "");
@@ -803,27 +874,7 @@ int main(int argc, char** argv) {
   }
   int rc = 2;
   try {
-    if (cmd == "sparsified") {
-      rc = cmd_sparsified(args);
-    } else if (cmd == "structure") {
-      rc = cmd_structure(args);
-    } else if (cmd == "traffic") {
-      rc = cmd_traffic(args);
-    } else if (cmd == "pipeline") {
-      rc = cmd_pipeline(args);
-    } else if (cmd == "infer") {
-      rc = cmd_infer(args);
-    } else if (cmd == "stream") {
-      rc = cmd_stream(args);
-    } else if (cmd == "tune") {
-      rc = cmd_tune(args);
-    } else if (cmd == "profile") {
-      rc = cmd_profile(args);
-    } else if (cmd == "verify") {
-      rc = cmd_verify(args);
-    } else {
-      usage();
-    }
+    rc = command->second.run(args);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     rc = 2;

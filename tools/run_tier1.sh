@@ -159,11 +159,22 @@ fi
 # cache, and a follow-up inference must pick the tuned schedule up.
 tune_dir="$build_dir/tune_smoke"
 mkdir -p "$tune_dir"
+rm -f "$tune_dir/tuned_schedules.json" \
+      "$tune_dir/tuned_schedules_1thread.json"
 "$build_dir/tools/ls_experiment" tune --net convnet --cores 16 \
   --budget 200 --restarts 2 --seed 7 \
   --tuned-cache "$tune_dir/tuned_schedules.json" >/dev/null
 [ -s "$tune_dir/tuned_schedules.json" ] || {
   echo "tune smoke: missing schedule cache" >&2; exit 1; }
+# The search is seeded and scored in the cycle domain, so the pool size
+# must not move a byte of the store it writes.
+LS_THREADS=1 "$build_dir/tools/ls_experiment" tune --net convnet --cores 16 \
+  --budget 200 --restarts 2 --seed 7 \
+  --tuned-cache "$tune_dir/tuned_schedules_1thread.json" >/dev/null
+cmp "$tune_dir/tuned_schedules.json" \
+    "$tune_dir/tuned_schedules_1thread.json" || {
+  echo "tune smoke: pool size changed the tuned schedule store" >&2
+  exit 1; }
 "$build_dir/tools/ls_experiment" infer --net convnet --cores 16 \
   --tuned-cache "$tune_dir/tuned_schedules.json" \
   | grep -q 'using tuned schedule' || {
