@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <tuple>
 #include <unordered_map>
@@ -65,19 +66,18 @@ struct BurstKeyHash {
   }
 };
 
-bool enabled_from_env() {
-  if (const char* env = std::getenv("LS_NOC_CACHE")) {
-    return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0);
-  }
-  return true;
-}
+/// One memoized burst. The owning lookup fulfils `result`; concurrent
+/// lookups of the same key share the future and wait on it.
+struct Slot {
+  std::promise<NocStats> promise;
+  std::shared_future<NocStats> result = promise.get_future().share();
+};
 
 }  // namespace
 
 struct NocRunCache::Impl {
   mutable std::mutex mu;
-  std::unordered_map<BurstKey, NocStats, BurstKeyHash> map;
-  std::atomic<bool> enabled{enabled_from_env()};
+  std::unordered_map<BurstKey, std::shared_ptr<Slot>, BurstKeyHash> map;
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
 };
@@ -94,9 +94,6 @@ NocStats NocRunCache::run(const MeshNocSimulator& sim,
                           const std::vector<Message>& messages,
                           std::uint64_t max_cycles,
                           std::uint64_t stream_epoch) {
-  if (!impl_->enabled.load(std::memory_order_relaxed)) {
-    return sim.run(messages, max_cycles);
-  }
   BurstKey key;
   key.cols = sim.topology().cols();
   key.rows = sim.topology().rows();
@@ -108,34 +105,39 @@ NocStats NocRunCache::run(const MeshNocSimulator& sim,
       obs::Registry::instance().counter("noc.cache.hits");
   static obs::Counter& miss_metric =
       obs::Registry::instance().counter("noc.cache.misses");
+  std::shared_ptr<Slot> slot;
+  std::shared_future<NocStats> memo;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
-    const auto it = impl_->map.find(key);
-    if (it != impl_->map.end()) {
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      hit_metric.inc();
-      return it->second;
+    std::shared_ptr<Slot>& entry = impl_->map[key];
+    if (entry) {
+      memo = entry->result;
+    } else {
+      entry = slot = std::make_shared<Slot>();
     }
+  }
+  if (!slot) {
+    // Done or in flight: either way the owner's result is the answer.
+    impl_->hits.fetch_add(1, std::memory_order_relaxed);
+    hit_metric.inc();
+    return memo.get();
   }
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
   miss_metric.inc();
   // Simulate outside the lock: bursts are the expensive part and distinct
-  // layers can run concurrently. A racing duplicate computes the same
-  // stats, so emplace-after is harmless.
-  const NocStats stats = sim.run(messages, max_cycles);
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    impl_->map.emplace(std::move(key), stats);
+  // layers run concurrently.
+  try {
+    slot->promise.set_value(sim.run(messages, max_cycles));
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lk(impl_->mu);
+      const auto it = impl_->map.find(key);
+      if (it != impl_->map.end() && it->second == slot) impl_->map.erase(it);
+    }
+    slot->promise.set_exception(std::current_exception());
+    throw;
   }
-  return stats;
-}
-
-void NocRunCache::set_enabled(bool enabled) {
-  impl_->enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool NocRunCache::enabled() const {
-  return impl_->enabled.load(std::memory_order_relaxed);
+  return slot->result.get();
 }
 
 void NocRunCache::clear() {

@@ -17,15 +17,17 @@
 //    equality is exact; a hit therefore always returns the byte-identical
 //    stats the simulator itself would produce. That makes the cache
 //    correctness-neutral by construction.
-//  * Bypass the cache when measuring *simulator* wall-time (bench_noc_micro
-//    calls MeshNocSimulator::run directly, which never consults it), when
-//    sweeping unbounded distinct bursts where the memo map would only grow
-//    (clear() between sweep points), or via LS_NOC_CACHE=0 / set_enabled.
+//  * The memo map only grows: a cold run, or a sweep over unbounded
+//    distinct bursts, calls clear(). Timing the simulator itself calls
+//    MeshNocSimulator::run directly (as bench_noc_micro does), which never
+//    consults the cache.
 //
 // Thread-safe: CmpSystem dispatches per-layer bursts onto the shared pool
-// and all of them may consult the cache concurrently. Misses simulate
-// outside the lock; a racing duplicate insert is harmless because equal
-// keys always map to equal stats.
+// and all of them may consult the cache concurrently. Misses are
+// single-flight: the first lookup of a key owns its simulation (run
+// outside the lock), and concurrent lookups of the same key wait for that
+// result and count as hits. So identical bursts dispatched at once are
+// simulated once, and hit/miss counts do not depend on thread timing.
 
 #include <cstdint>
 #include <vector>
@@ -36,10 +38,12 @@ namespace ls::noc {
 
 class NocRunCache {
  public:
-  /// Process-wide cache. Starts enabled unless LS_NOC_CACHE=0.
+  /// Process-wide cache.
   static NocRunCache& instance();
 
-  /// Memoized equivalent of `sim.run(messages, max_cycles)`.
+  /// Memoized equivalent of `sim.run(messages, max_cycles)`. If the owning
+  /// simulation throws, every waiter on that key gets the exception and
+  /// the entry is dropped, so a later lookup simulates again.
   ///
   /// `stream_epoch` partitions the memo space: entries recorded under one
   /// epoch are invisible to every other. Epoch 0 is the shared single-pass
@@ -54,9 +58,6 @@ class NocRunCache {
                const std::vector<Message>& messages,
                std::uint64_t max_cycles = 200'000'000ull,
                std::uint64_t stream_epoch = 0);
-
-  void set_enabled(bool enabled);
-  bool enabled() const;
 
   /// Drops all memoized bursts (and resets hit/miss counters).
   void clear();

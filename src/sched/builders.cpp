@@ -243,7 +243,7 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
   }
 
   // --- Tuning knobs: per-layer dims and the placement permutation ---------
-  // (invariant class 9: malformed choices abort in checked builds).
+  // (invariant class 8: malformed choices abort in checked builds).
   LS_CHECK_MSG(opts.layer_dims.empty() ||
                    opts.layer_dims.size() == computes.size(),
                "lower('%s'): %zu layer dims for %zu compute layers",

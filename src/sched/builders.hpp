@@ -16,11 +16,12 @@
 // (and get strategy-appropriate invariant checks) while `lower()` stays the
 // single source of truth for what a layer transition costs.
 //
-// Lowering is bit-exact with the pre-IR CmpSystem::run_inference loop: the
+// Lowering is bit-exact with the pre-IR per-layer inference loop: the
 // per-core share/live arithmetic (including its +0.5 roundings and
 // accumulation order) is reproduced here so an executor over the built
-// schedule yields byte-identical InferenceResults — the golden equivalence
-// suite (`ctest -L sched`) pins this.
+// schedule yields byte-identical InferenceResults. That loop survives as a
+// test oracle (tests/sim/reference_executor.cpp), and the golden
+// equivalence suite (`ctest -L sched`) compares CmpSystem against it.
 
 #include <cstddef>
 
@@ -44,7 +45,7 @@ struct BuildOptions {
   /// Per-compute-layer parallelization dimension, in layer order (empty =
   /// kernel-wise everywhere, the historical default). The size must match
   /// the spec's compute-layer count and every dim must be compatible with
-  /// its layer's shape (invariant class 9; see dim_compatible()):
+  /// its layer's shape (invariant class 8; see dim_compatible()):
   /// height/width need an ungrouped conv with a splittable spatial axis,
   /// channel needs >= 2 input units, is kernel-only on grouped convs, and
   /// cannot sit on the last compute layer (its reduce-scatter rides on the
@@ -107,7 +108,7 @@ Schedule build_hybrid(const nn::NetSpec& grouped_spec,
 /// stages: returns one stage id per compute layer (in layer order),
 /// contiguous and non-decreasing with every stage non-empty, balanced by
 /// MAC prefix sums so stages carry roughly equal compute. Requires at
-/// least `chips` compute layers (invariant class 9 in checked builds).
+/// least `chips` compute layers (invariant class 8 in checked builds).
 std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
                                           std::size_t chips);
 

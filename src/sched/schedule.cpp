@@ -84,7 +84,7 @@ void validate(const Schedule& schedule) {
                  "schedule '%s': %zu chips do not evenly divide %zu cores",
                  schedule.net_name.c_str(), schedule.chips, schedule.cores);
     if (!schedule.placement.empty()) {
-      // Invariant class 9: a recorded placement must be a bijection of
+      // Invariant class 8: a recorded placement must be a bijection of
       // 0..cores-1 — anything else silently drops or duplicates partitions.
       LS_CHECK_MSG(schedule.placement.size() == schedule.cores,
                    "schedule '%s': placement maps %zu partitions on a "

@@ -127,7 +127,7 @@ struct Schedule {
   std::size_t chips = 1;
   /// Partition -> physical-core permutation the lowering applied (empty =
   /// identity). Events already carry physical core ids; this records the
-  /// mapping for dumps and for invariant class 9 (bijectivity).
+  /// mapping for dumps and for invariant class 8 (bijectivity).
   std::vector<std::size_t> placement;
   /// Topologically ordered: every event's deps precede it.
   std::vector<Event> events;

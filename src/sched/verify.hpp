@@ -128,7 +128,7 @@ VerifyReport verify(const Schedule& schedule,
 
 namespace testing {
 
-/// Invariant class 10 corruption seeds, one per verifier violation class.
+/// Invariant class 9 corruption seeds, one per verifier violation class.
 /// Mirrors VerifyCode so the negative suite can assert the exact code.
 enum class Corruption {
   kCyclicDependence,

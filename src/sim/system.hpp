@@ -62,11 +62,6 @@ struct SystemConfig {
   /// accelerator datapath; > 1 scales every communication latency up by
   /// that ratio (energy is unaffected — it is per-traversal, not per-time).
   double noc_clock_divider = 1.0;
-  /// Memoize layer-transition burst simulations in the process-wide
-  /// noc::NocRunCache. Correctness-neutral (a hit returns byte-identical
-  /// stats); disable to force every burst through the flit-level simulator
-  /// (e.g. when timing the simulator itself).
-  bool noc_result_cache = true;
   /// Apply the structured-sparsity discount when run_inference is given a
   /// SparsityProfile: each core's macs and weight_bytes scale by its
   /// live-weight fraction (pruned blocks execute nothing on a sparsity-
@@ -229,16 +224,5 @@ double comm_energy_reduction(const InferenceResult& baseline,
 /// logs a warning and yields 0 instead of inf/NaN.
 double traffic_rate(const InferenceResult& baseline,
                     const InferenceResult& v);
-
-namespace testing {
-/// The pre-Schedule-IR per-layer loop, kept verbatim as the golden
-/// reference for the schedule-path equivalence suite (`ctest -L sched`).
-/// Numerics only: no tracing, no metrics side effects — observability
-/// independence is pinned separately by the obs determinism test.
-InferenceResult reference_run_inference(
-    const SystemConfig& cfg, const nn::NetSpec& spec,
-    const core::InferenceTraffic& traffic,
-    const core::SparsityProfile* sparsity = nullptr);
-}  // namespace testing
 
 }  // namespace ls::sim

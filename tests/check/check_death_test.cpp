@@ -8,9 +8,8 @@
 //   4. stale block-sparsity bitmap        (nn::BlockSparsity::map)
 //   5. Param::version monotonicity        (nn::BlockSparsity::map)
 //   6. thread-pool misuse                 (util::ThreadPool::set_num_threads)
-//   7. placement bijectivity              (core::placement_cost)
-//   8. schedule well-formedness           (sched::validate / validate_against)
-//   9. tuning-knob preconditions          (sched::lower: placement
+//   7. schedule well-formedness           (sched::validate / validate_against)
+//   8. tuning-knob preconditions          (sched::lower: placement
 //      bijectivity, per-layer dim compatibility, dims/sparsity exclusion)
 //
 // This file is only compiled into checked builds (tests/CMakeLists.txt
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "core/placement.hpp"
 #include "core/traffic.hpp"
 #include "nn/fc.hpp"
 #include "nn/layer.hpp"
@@ -177,18 +175,7 @@ TEST_F(CheckDeath, PoolResizeFromInsideTaskDies) {
       "set_num_threads called from inside a pool task");
 }
 
-// --- 7. placement bijectivity ------------------------------------------------
-
-TEST_F(CheckDeath, NonBijectivePlacementDies) {
-  const auto topo = noc::MeshTopology::for_cores(4);
-  core::Placement p;
-  p.partition_to_core = {0, 0, 1, 2};  // core 0 duplicated, core 3 missing
-  const core::InferenceTraffic traffic;
-  EXPECT_DEATH(core::placement_cost(traffic, p, topo),
-               "non-bijective placement");
-}
-
-// --- 8. schedule well-formedness ---------------------------------------------
+// --- 7. schedule well-formedness ---------------------------------------------
 
 // A valid lowered schedule, mutated one invariant at a time.
 sched::Schedule lowered_convnet() {
@@ -264,7 +251,7 @@ TEST_F(CheckDeath, ScheduleMissingLayerCoverageDies) {
   EXPECT_DEATH(sched::validate_against(s, spec), "compute layers but");
 }
 
-// --- 9. tuning-knob preconditions --------------------------------------------
+// --- 8. tuning-knob preconditions --------------------------------------------
 
 // Lowers ConvNet with one tuning knob deliberately malformed.
 sched::Schedule lower_with(std::vector<sched::PartitionDim> dims,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "noc/simulator.hpp"
@@ -22,7 +23,6 @@ TEST(NocRunCache, HitReturnsIdenticalStats) {
   MeshNocSimulator sim(MeshTopology::for_cores(16), NocConfig{});
   NocRunCache& cache = NocRunCache::instance();
   cache.clear();
-  cache.set_enabled(true);
 
   const NocStats direct = sim.run(burst_a());
   const NocStats miss = cache.run(sim, burst_a());
@@ -42,7 +42,6 @@ TEST(NocRunCache, DistinctBurstsDoNotCollide) {
   MeshNocSimulator sim(MeshTopology::for_cores(16), NocConfig{});
   NocRunCache& cache = NocRunCache::instance();
   cache.clear();
-  cache.set_enabled(true);
 
   const NocStats a = cache.run(sim, burst_a());
   const NocStats b = cache.run(sim, burst_b());
@@ -57,7 +56,6 @@ TEST(NocRunCache, StreamEpochPartitionsMemoSpace) {
   MeshNocSimulator sim(MeshTopology::for_cores(16), NocConfig{});
   NocRunCache& cache = NocRunCache::instance();
   cache.clear();
-  cache.set_enabled(true);
 
   // Same burst under two epochs: separate memo entries (a stream-context-
   // dependent refinement of burst stats must never be served a single-pass
@@ -78,7 +76,6 @@ TEST(NocRunCache, StreamEpochPartitionsMemoSpace) {
 TEST(NocRunCache, KeyIncludesTopologyAndConfig) {
   NocRunCache& cache = NocRunCache::instance();
   cache.clear();
-  cache.set_enabled(true);
 
   MeshNocSimulator mesh16(MeshTopology::for_cores(16), NocConfig{});
   MeshNocSimulator mesh64(MeshTopology::for_cores(64), NocConfig{});
@@ -101,7 +98,6 @@ TEST(NocRunCache, PlacementPermutedBurstsKeySeparately) {
   MeshNocSimulator sim(MeshTopology::for_cores(16), NocConfig{});
   NocRunCache& cache = NocRunCache::instance();
   cache.clear();
-  cache.set_enabled(true);
 
   const std::vector<Message> identity = burst_a();
   std::vector<Message> permuted = identity;
@@ -124,26 +120,23 @@ TEST(NocRunCache, PlacementPermutedBurstsKeySeparately) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(NocRunCache, DisabledBypassesEntirely) {
+TEST(NocRunCache, ThrowingBurstIsNotMemoized) {
   MeshNocSimulator sim(MeshTopology::for_cores(16), NocConfig{});
   NocRunCache& cache = NocRunCache::instance();
   cache.clear();
-  cache.set_enabled(false);
-
-  const NocStats direct = sim.run(burst_a());
-  EXPECT_EQ(cache.run(sim, burst_a()), direct);
-  EXPECT_EQ(cache.run(sim, burst_a()), direct);
+  const std::vector<Message> bad = {{0, 99, 64, 0}};  // off the mesh
+  EXPECT_THROW(cache.run(sim, bad), std::out_of_range);
   EXPECT_EQ(cache.size(), 0u);
+  // The failed entry was dropped, so the next lookup simulates again.
+  EXPECT_THROW(cache.run(sim, bad), std::out_of_range);
+  EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  cache.set_enabled(true);
 }
 
 TEST(NocRunCache, ClearResetsCountersAndEntries) {
   MeshNocSimulator sim(MeshTopology::for_cores(16), NocConfig{});
   NocRunCache& cache = NocRunCache::instance();
   cache.clear();
-  cache.set_enabled(true);
   cache.run(sim, burst_a());
   cache.run(sim, burst_a());
   EXPECT_GT(cache.size() + cache.hits() + cache.misses(), 0u);

@@ -10,6 +10,13 @@
 namespace ls::obs {
 namespace {
 
+// A file under TempDir() named after the running test: ctest -j runs every
+// case as its own process, so a shared name would let cases clobber it.
+std::string temp_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->name() + ".json";
+}
+
 TEST(Metrics, CounterIncrementsAndSameNameIsSameInstance) {
   Registry& reg = Registry::instance();
   reg.reset();
@@ -181,7 +188,7 @@ TEST(Metrics, WriteProducesFile) {
   Registry& reg = Registry::instance();
   reg.reset();
   reg.counter("write.counter").inc();
-  const std::string path = testing::TempDir() + "metrics_test_out.json";
+  const std::string path = temp_path("metrics_out");
   EXPECT_TRUE(reg.write(path));
   reg.reset();
 }

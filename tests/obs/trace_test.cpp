@@ -10,6 +10,13 @@
 namespace ls::obs {
 namespace {
 
+// A file under TempDir() named after the running test: ctest -j runs every
+// case as its own process, so a shared name would let cases clobber it.
+std::string temp_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->name() + ".json";
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::stringstream ss;
@@ -69,7 +76,7 @@ TEST(Trace, WriteEmitsChromeTraceJson) {
   tr.set_virtual_thread_name(kSimPid, 3, "core-3");
   tr.stop();
 
-  const std::string path = testing::TempDir() + "trace_test_out.json";
+  const std::string path = temp_path("trace_out");
   ASSERT_TRUE(tr.write(path));
   const std::string doc = slurp(path);
 
@@ -103,7 +110,7 @@ TEST(Trace, CounterAndFlowEventsEmitChromeTracePhases) {
   tr.flow(false, "stream.req0", "stream", 10, 77, kSimPid, 3);
   tr.stop();
 
-  const std::string path = testing::TempDir() + "trace_counter_flow.json";
+  const std::string path = temp_path("trace_counter_flow");
   ASSERT_TRUE(tr.write(path));
   const std::string doc = slurp(path);
 

@@ -14,11 +14,14 @@
 #include "core/partition.hpp"
 #include "core/traffic.hpp"
 #include "nn/model_zoo.hpp"
+#include "noc/sim_cache.hpp"
 #include "noc/topology.hpp"
 #include "sched/builders.hpp"
 #include "sched/cost_model.hpp"
 #include "sched/schedule.hpp"
 #include "sim/system.hpp"
+
+#include "../sim/reference_executor.hpp"
 
 namespace ls {
 namespace {
@@ -85,12 +88,12 @@ TEST(PartitionDim, ExplicitKernelDimsAndIdentityPlacementAreBitExact) {
   // And the executed result equals the pre-IR reference loop exactly.
   sim::SystemConfig cfg;
   cfg.cores = kCores;
-  cfg.noc_result_cache = false;
+  noc::NocRunCache::instance().clear();  // every burst cold
   const sim::CmpSystem system(cfg);
   const nn::NetSpec spec = nn::convnet_spec();
   const auto traffic = convnet_traffic();
   EXPECT_EQ(system.execute(tuned_default),
-            sim::testing::reference_run_inference(cfg, spec, traffic));
+            sim::oracle::reference_run_inference(cfg, spec, traffic));
 }
 
 // --- placement permutation: endpoints move, numbers do not -----------------
@@ -126,7 +129,7 @@ TEST(PartitionDim, PlacementPermutationRemapsEndpointsOnly) {
   // Compute cost is a max over cores — placement-invariant.
   sim::SystemConfig cfg;
   cfg.cores = kCores;
-  cfg.noc_result_cache = false;
+  noc::NocRunCache::instance().clear();  // every burst cold
   const sim::CmpSystem system(cfg);
   EXPECT_EQ(system.execute(permuted).compute_cycles,
             system.execute(base).compute_cycles);
@@ -265,7 +268,7 @@ TEST(PartitionDim, ExecutedComputeMatchesAnalyticEstimateExactly) {
 
   sim::SystemConfig cfg;
   cfg.cores = kCores;
-  cfg.noc_result_cache = false;
+  noc::NocRunCache::instance().clear();  // every burst cold
   const sim::CmpSystem system(cfg);
   const sim::InferenceResult r = system.execute(s);
   EXPECT_GT(r.total_cycles, 0u);

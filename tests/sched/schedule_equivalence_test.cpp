@@ -15,6 +15,8 @@
 #include "sim/system.hpp"
 #include "util/rng.hpp"
 
+#include "../sim/reference_executor.hpp"
+
 namespace ls::sim {
 namespace {
 
@@ -64,7 +66,7 @@ core::SparsityProfile synthetic_profile(const nn::NetSpec& spec,
   return profile;
 }
 
-// One golden comparison: schedule path vs the preserved pre-IR loop.
+// One golden comparison: schedule path vs the pre-IR loop oracle.
 void expect_bit_identical(const SystemConfig& cfg, const nn::NetSpec& spec,
                           const core::InferenceTraffic& traffic,
                           const core::SparsityProfile* profile) {
@@ -72,7 +74,7 @@ void expect_bit_identical(const SystemConfig& cfg, const nn::NetSpec& spec,
   const InferenceResult via_schedule =
       system.run_inference(spec, traffic, profile);
   const InferenceResult golden =
-      testing::reference_run_inference(cfg, spec, traffic, profile);
+      oracle::reference_run_inference(cfg, spec, traffic, profile);
   EXPECT_EQ(via_schedule, golden) << spec.name;
 }
 

@@ -1,4 +1,4 @@
-// Static schedule verifier suite (invariant class 10, DESIGN.md §4j).
+// Static schedule verifier suite (invariant class 9, DESIGN.md §4j).
 //
 // Negative half: seed each corruption class into an otherwise-valid
 // lowered schedule via sched::testing::corrupt and assert verify()

@@ -7,6 +7,7 @@
 
 #include "core/traffic.hpp"
 #include "nn/model_zoo.hpp"
+#include "noc/sim_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/system.hpp"
@@ -17,9 +18,9 @@ namespace {
 sim::InferenceResult run_once(const nn::NetSpec& spec, std::size_t cores) {
   sim::SystemConfig cfg;
   cfg.cores = cores;
-  // Force every burst through the flit simulator so both runs exercise the
-  // full instrumented path rather than the memoization cache.
-  cfg.noc_result_cache = false;
+  // Start from a cold burst cache so both runs exercise the full
+  // instrumented flit-simulator path rather than memoized stats.
+  noc::NocRunCache::instance().clear();
   const sim::CmpSystem system(cfg);
   const auto traffic =
       core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);

@@ -1,7 +1,7 @@
-// The NoC burst-result cache must be correctness-neutral: a CmpSystem run
-// with the cache enabled must produce an InferenceResult identical to one
-// with every burst forced through the flit-level simulator. Sweeps core
-// counts like experiment E5.
+// The NoC burst-result cache must be correctness-neutral: every layer of a
+// CmpSystem run, from a cold cache, a warm one and a re-execution, must
+// carry exactly the NocStats MeshNocSimulator::run produces for the same
+// burst. Sweeps core counts like experiment E5.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,8 @@
 #include "core/traffic.hpp"
 #include "nn/model_zoo.hpp"
 #include "noc/sim_cache.hpp"
+#include "noc/simulator.hpp"
+#include "sched/schedule.hpp"
 #include "sim/system.hpp"
 
 namespace ls::sim {
@@ -35,30 +37,59 @@ void expect_identical(const InferenceResult& a, const InferenceResult& b) {
   }
 }
 
+// Per compute layer, the stats of the burst into it straight from the flit
+// simulator (default NocStats where the layer has no burst).
+std::vector<noc::NocStats> direct_layer_stats(const CmpSystem& system,
+                                              const sched::Schedule& s) {
+  const noc::MeshNocSimulator sim(system.topology(), system.config().noc);
+  std::vector<noc::NocStats> out;
+  noc::NocStats pending{};
+  for (const sched::Event& e : s.events) {
+    if (e.kind == sched::EventKind::kComm) {
+      pending = sim.run(e.messages);
+      continue;
+    }
+    out.push_back(pending);
+    pending = noc::NocStats{};
+  }
+  return out;
+}
+
 TEST(SystemNocCache, CachedRunMatchesUncachedAcrossCoreSweep) {
-  noc::NocRunCache::instance().clear();
   const nn::NetSpec spec = nn::convnet_expt_spec();
   for (std::size_t cores : {4u, 8u, 16u}) {
     SCOPED_TRACE(cores);
-    SystemConfig cached_cfg;
-    cached_cfg.cores = cores;
-    cached_cfg.noc_result_cache = true;
-    SystemConfig uncached_cfg = cached_cfg;
-    uncached_cfg.noc_result_cache = false;
+    SystemConfig cfg;
+    cfg.cores = cores;
+    const CmpSystem system(cfg);
+    const auto traffic =
+        core::traffic_dense(spec, system.topology(), cfg.bytes_per_value);
+    const sched::Schedule schedule = system.build_schedule(spec, traffic);
+    const std::vector<noc::NocStats> direct =
+        direct_layer_stats(system, schedule);
 
-    CmpSystem cached(cached_cfg);
-    CmpSystem uncached(uncached_cfg);
-    const auto traffic = core::traffic_dense(
-        spec, cached.topology(), cached_cfg.bytes_per_value);
+    noc::NocRunCache& cache = noc::NocRunCache::instance();
+    cache.clear();
+    const std::size_t bursts = schedule.comm_event_count();
+    const InferenceResult cold = system.run_inference(spec, traffic);
+    const std::uint64_t cold_misses = cache.misses();
+    EXPECT_GT(cold_misses, 0u);
+    EXPECT_EQ(cache.hits() + cold_misses, bursts);
+    const InferenceResult warm = system.run_inference(spec, traffic);
+    const InferenceResult rerun = system.execute(schedule);
+    // The warm run and the re-execution hit every burst.
+    EXPECT_EQ(cache.misses(), cold_misses);
+    EXPECT_EQ(cache.hits() + cold_misses, 3 * bursts);
 
-    const InferenceResult without = uncached.run_inference(spec, traffic);
-    const InferenceResult cold = cached.run_inference(spec, traffic);
-    const InferenceResult warm = cached.run_inference(spec, traffic);
-    expect_identical(cold, without);
-    expect_identical(warm, without);
+    ASSERT_EQ(cold.layers.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      SCOPED_TRACE(cold.layers[i].layer_name);
+      EXPECT_EQ(cold.layers[i].noc_stats, direct[i]);
+      EXPECT_EQ(cold.layers[i].comm_cycles, direct[i].completion_cycle);
+    }
+    expect_identical(warm, cold);
+    expect_identical(rerun, cold);
   }
-  // The warm re-runs must actually have hit the cache.
-  EXPECT_GT(noc::NocRunCache::instance().hits(), 0u);
 }
 
 TEST(SystemNocCache, RepeatRunsAreDeterministic) {

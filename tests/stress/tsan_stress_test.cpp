@@ -4,7 +4,9 @@
 //   * concurrent *external* parallel_for callers — the pool runs one job at
 //     a time and overflow callers fall back to inline serial execution, so
 //     results must stay bit-identical to a serial run;
-//   * concurrent NocRunCache lookups on hot and cold keys;
+//   * concurrent NocRunCache lookups on hot and cold keys, including the
+//     single-flight miss path (one simulation per cold key, a throwing
+//     simulation reaching every waiter);
 //   * whole CmpSystem::run_inference calls racing on two threads (pool
 //     dispatch + burst cache + obs counters all exercised at once);
 //   * concurrent block-sparse forwards on per-thread layers over the shared
@@ -19,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -113,6 +117,76 @@ TEST(TsanStress, ConcurrentNocRunCache) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[t]) << "thread " << t << " saw a mismatched cached stat";
   }
+}
+
+// Single-flight misses: K threads released at once on one cold burst
+// simulate it exactly once; every other lookup waits for that result and
+// counts as a hit, whatever the thread timing.
+TEST(TsanStress, ConcurrentColdLookupsSimulateOnce) {
+  noc::NocRunCache& cache = noc::NocRunCache::instance();
+  cache.clear();
+  const noc::MeshNocSimulator sim(noc::MeshTopology::for_cores(16),
+                                  noc::NocConfig{});
+  std::vector<noc::Message> burst;
+  for (std::size_t s = 0; s < 16; ++s) {
+    for (std::size_t d = 0; d < 16; ++d) {
+      if (s != d) burst.push_back({s, d, 4096, 0});
+    }
+  }
+  const noc::NocStats expected = sim.run(burst);
+
+  constexpr std::size_t kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  std::vector<int> ok(kThreads, 0);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &go, &cache, &sim, &burst, &expected, &ok] {
+      while (!go.load()) std::this_thread::yield();
+      ok[t] = cache.run(sim, burst) == expected;
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(ok[t]) << "thread " << t << " saw a mismatched stat";
+  }
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), kThreads - 1);
+  EXPECT_EQ(cache.size(), 1u);
+  cache.clear();
+}
+
+// A burst whose simulation throws is never memoized: the owner and every
+// waiter get the exception, and the entry is dropped.
+TEST(TsanStress, ConcurrentThrowingLookupsAllThrow) {
+  noc::NocRunCache& cache = noc::NocRunCache::instance();
+  cache.clear();
+  const noc::MeshNocSimulator sim(noc::MeshTopology::for_cores(16),
+                                  noc::NocConfig{});
+  const std::vector<noc::Message> bad = {{0, 99, 64, 0}};  // off the mesh
+
+  constexpr std::size_t kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  std::vector<int> threw(kThreads, 0);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &go, &cache, &sim, &bad, &threw] {
+      while (!go.load()) std::this_thread::yield();
+      try {
+        cache.run(sim, bad);
+      } catch (const std::out_of_range&) {
+        threw[t] = 1;
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(threw[t]) << "thread " << t << " did not see the exception";
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), kThreads);
+  cache.clear();
 }
 
 TEST(TsanStress, ConcurrentSystemRuns) {

@@ -18,6 +18,13 @@
 namespace ls {
 namespace {
 
+// A file under TempDir() named after the running test: ctest -j runs every
+// case as its own process, so a shared name would let cases clobber it.
+std::string temp_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->name() + ".json";
+}
+
 struct TunePoint {
   nn::NetSpec spec;
   sim::SystemConfig cfg;
@@ -80,8 +87,8 @@ TEST(Tuner, DeterministicAndByteIdenticalCache) {
   cache_b.put(key_for(p), entry_for(b, tcfg));
   EXPECT_EQ(cache_a.to_json(), cache_b.to_json());
 
-  const std::string path_a = ::testing::TempDir() + "tuner_det_a.json";
-  const std::string path_b = ::testing::TempDir() + "tuner_det_b.json";
+  const std::string path_a = temp_path("tuner_det_a");
+  const std::string path_b = temp_path("tuner_det_b");
   ASSERT_TRUE(cache_a.save_file(path_a));
   ASSERT_TRUE(cache_b.save_file(path_b));
   const auto slurp = [](const std::string& path) {
@@ -268,8 +275,7 @@ TEST(ScheduleCache, KeyStringRoundTripsChipsDimension) {
 TEST(ScheduleCache, MissingFileLoadsEmpty) {
   tune::ScheduleCache cache;
   std::string error;
-  EXPECT_TRUE(cache.load_file(::testing::TempDir() + "no_such_store.json",
-                              &error));
+  EXPECT_TRUE(cache.load_file(temp_path("no_such_store"), &error));
   EXPECT_EQ(cache.size(), 0u);
 }
 

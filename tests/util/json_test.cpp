@@ -12,6 +12,13 @@
 namespace ls::util {
 namespace {
 
+// A file under TempDir() named after the running test: ctest -j runs every
+// case as its own process, so a shared name would let cases clobber it.
+std::string temp_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->name() + ".json";
+}
+
 TEST(JsonEscape, PassesPlainTextThrough) {
   EXPECT_EQ(json_escape("hello world_42"), "hello world_42");
 }
@@ -108,7 +115,7 @@ TEST(JsonWriter, WriteFileRoundTrips) {
   w.begin_object();
   w.key("ok").value(true);
   w.end_object();
-  const std::string path = testing::TempDir() + "json_writer_test.json";
+  const std::string path = temp_path("json_writer");
   ASSERT_TRUE(w.write_file(path));
   std::ifstream in(path);
   std::stringstream ss;

@@ -58,11 +58,12 @@ cxx_sources() {
 
 if [ -n "$python3_bin" ]; then
   ran_any=1
-  echo "== lslint (project rules) over src/"
+  echo "== lslint (project rules) over src/ and tests/"
   if ! "$python3_bin" "$repo_root/tools/lslint.py" --self-test; then
     status=1
   fi
-  if ! "$python3_bin" "$repo_root/tools/lslint.py" "$repo_root/src"; then
+  if ! "$python3_bin" "$repo_root/tools/lslint.py" "$repo_root/src" \
+      "$repo_root/tests"; then
     status=1
   fi
 else

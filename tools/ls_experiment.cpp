@@ -7,7 +7,7 @@
 //   ls_experiment structure --c1 32 --c2 64 --c3 128 --groups 16 --cores 16
 //   ls_experiment traffic --net alexnet --cores 16
 //   ls_experiment pipeline --net alexnet --cores 16
-//   ls_experiment infer --net alexnet --cores 16 [--overlap] [--no-cache]
+//   ls_experiment infer --net alexnet --cores 16 [--overlap]
 //       [--schedule-dump plan.json]
 //   ls_experiment stream --net convnet --cores 16 --requests 8
 //   ls_experiment tune --net convnet --cores 64 --budget 2000 --seed 7
@@ -28,9 +28,11 @@
 // bit-exactly to the kernel-wise schedule when the store has no entry
 // (--no-tuned skips the lookup entirely).
 //
-// Every command refuses, with exit status 2 and before it runs anything, a
-// flag it does not read, a value flag without its value, and any stray
-// argument.
+// One table (`commands()`) lists every command with the flags it reads.
+// It drives both the parser and the usage text (`ls_experiment --help`,
+// `<command> --help`): every command refuses, with exit status 2 and
+// before it runs anything, a flag it does not read, a value flag without
+// its value, and any stray argument.
 //
 // Observability: `--trace out.json` writes a Chrome-trace/Perfetto timeline
 // and `--metrics out.json` dumps the process metrics registry (counters,
@@ -43,7 +45,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -112,17 +113,26 @@ struct Args {
   }
 };
 
-/// The flags one command reads, without the leading "--". A switch takes
-/// no value, so a token after it is a stray argument, not its value.
-struct CommandFlags {
-  std::set<std::string> values;
-  std::set<std::string> switches;
+/// One flag a command reads, without the leading "--". A switch has no
+/// metavar and takes no value, so a token after it is a stray argument.
+struct Flag {
+  const char* name;
+  const char* metavar = nullptr;  ///< value placeholder in usage; null: switch
+};
+
+/// One subcommand: what it runs and the flags it reads. The same entry
+/// drives parse() and the usage text, so the two cannot drift.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<Flag> flags;
+  const char* note = nullptr;  ///< extra usage line
 };
 
 /// Every command also takes the global --trace/--metrics. Anything not
 /// listed for the command, and any token that is neither a flag nor a
 /// value flag's value, is a usage error.
-Args parse(int argc, char** argv, const CommandFlags& known) {
+Args parse(int argc, char** argv, const Command& command) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string key = argv[i];
@@ -130,13 +140,17 @@ Args parse(int argc, char** argv, const CommandFlags& known) {
       throw UsageError("unexpected argument '" + key + "'");
     }
     const std::string name = key.substr(2);
-    if (known.switches.count(name)) {
-      args.kv[key] = "1";
-      continue;
+    const Flag* flag = nullptr;
+    for (const Flag& f : command.flags) {
+      if (name == f.name) flag = &f;
     }
-    if (!known.values.count(name) && name != "trace" && name != "metrics") {
+    if (flag == nullptr && name != "trace" && name != "metrics") {
       throw UsageError("unknown flag '" + key + "' for '" +
                        std::string(argv[1]) + "'");
+    }
+    if (flag != nullptr && flag->metavar == nullptr) {
+      args.kv[key] = "1";
+      continue;
     }
     if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
       throw UsageError(key + " expects a value");
@@ -273,12 +287,11 @@ int cmd_pipeline(const Args& args) {
   return 0;
 }
 
-/// Applies the shared --cores / --chips / --no-cache knobs. CmpSystem's
-/// constructor rejects a chip count that cannot tile the cores.
+/// Applies the shared --cores / --chips knobs. CmpSystem's constructor
+/// rejects a chip count that cannot tile the cores.
 void apply_system_args(const Args& args, sim::SystemConfig* cfg) {
   cfg->cores = static_cast<std::size_t>(args.count("cores", 16));
   cfg->chips = static_cast<std::size_t>(args.count("chips", 1));
-  if (args.flag("no-cache")) cfg->noc_result_cache = false;
 }
 
 std::string system_desc(const sim::SystemConfig& cfg) {
@@ -767,34 +780,65 @@ int cmd_profile(const Args& args) {
   return 0;
 }
 
-void usage() {
+const std::vector<Command>& commands() {
+  static const char* const kExptNet = "mlp|lenet|convnet|caffenet";
+  static const char* const kNet = "mlp|lenet|convnet|alexnet|vgg19";
+  static const std::vector<Command> table = {
+      {"sparsified", cmd_sparsified,
+       {{"net", kExptNet}, {"cores", "N"}, {"lambda", "X"}, {"epochs", "N"},
+        {"samples", "N"}, {"seed", "N"}, {"exponent", "X"}, {"block"},
+        {"verbose"}}},
+      {"structure", cmd_structure,
+       {{"c1", "N"}, {"c2", "N"}, {"c3", "N"}, {"groups", "N"},
+        {"cores", "N"}, {"epochs", "N"}, {"samples", "N"}, {"seed", "N"}}},
+      {"traffic", cmd_traffic, {{"net", kNet}, {"cores", "N"}}},
+      {"pipeline", cmd_pipeline, {{"net", kNet}, {"cores", "N"}}},
+      {"infer", cmd_infer,
+       {{"net", kNet}, {"cores", "N"}, {"chips", "C"}, {"overlap"},
+        {"schedule-dump", "out.json"}, {"tuned-cache", "store.json"},
+        {"no-tuned"}}},
+      {"stream", cmd_stream,
+       {{"net", kNet}, {"cores", "N"}, {"chips", "C"}, {"requests", "N"},
+        {"tuned-cache", "store.json"}, {"no-tuned"}}},
+      {"tune", cmd_tune,
+       {{"net", kNet}, {"cores", "N"}, {"chips", "C"}, {"budget", "N"},
+        {"restarts", "N"}, {"top-k", "N"}, {"seed", "N"}, {"overlap"},
+        {"tuned-cache", "store.json"}}},
+      {"profile", cmd_profile,
+       {{"net", kNet}, {"cores", "N"}, {"chips", "C"}, {"requests", "N"},
+        {"out", "profile.json"}, {"tune-budget", "N"}, {"restarts", "N"},
+        {"top-k", "N"}, {"seed", "N"}, {"tuned-cache", "store.json"},
+        {"no-tuned"}}},
+      {"verify", cmd_verify, {{"tuned-cache", "store.json"}},
+       "audits every cached tuned schedule; exits nonzero on a violation"},
+  };
+  return table;
+}
+
+/// Prints the usage of `only` (every command when null), generated from
+/// commands(): each flag as [--name metavar], wrapped at 78 columns.
+void usage(const Command* only = nullptr) {
+  std::puts("usage: ls_experiment <command> [--key value ...]");
+  for (const Command& c : commands()) {
+    if (only != nullptr && only != &c) continue;
+    std::string line = "  " + std::string(c.name);
+    line.resize(12, ' ');
+    for (const Flag& f : c.flags) {
+      const std::string tok = std::string(" [--") + f.name +
+                              (f.metavar ? std::string(" ") + f.metavar : "") +
+                              "]";
+      if (line.size() > 12 && line.size() + tok.size() > 78) {
+        std::puts(line.c_str());
+        line.assign(12, ' ');
+      }
+      line += tok;
+    }
+    std::puts(line.c_str());
+    if (c.note != nullptr) std::printf("%13s%s\n", "", c.note);
+  }
   std::puts(
-      "usage: ls_experiment <command> [--key value ...]\n"
-      "  sparsified --net mlp|lenet|convnet|caffenet --cores N --lambda X\n"
-      "             [--epochs N] [--samples N] [--seed N] [--exponent X]\n"
-      "             [--block] [--verbose]\n"
-      "  structure  --c1 N --c2 N --c3 N --groups N --cores N\n"
-      "  traffic    --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
-      "  pipeline   --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
-      "  infer      --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
-      "             [--chips C] [--overlap] [--no-cache]\n"
-      "             [--schedule-dump out.json]\n"
-      "             [--tuned-cache store.json] [--no-tuned]\n"
-      "  stream     --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
-      "             [--chips C] [--requests N] [--no-cache]\n"
-      "             [--tuned-cache store.json] [--no-tuned]\n"
-      "  tune       --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
-      "             [--chips C] [--budget N] [--restarts N] [--top-k N]\n"
-      "             [--seed N] [--overlap] [--tuned-cache store.json]\n"
-      "  profile    --net mlp|lenet|convnet|alexnet|vgg19 --cores N\n"
-      "             [--chips C] [--requests N] [--out profile.json]\n"
-      "             [--tune-budget N] [--no-cache]\n"
-      "             [--tuned-cache store.json] [--no-tuned]\n"
       "  (--chips C pipelines stages across C chips; C must divide the\n"
       "   core count)\n"
-      "  verify     [--tuned-cache store.json]\n"
-      "             statically audit every cached tuned schedule; exits\n"
-      "             nonzero on any violation\n"
       "global observability flags (any command):\n"
       "  --trace out.json    write a Perfetto/chrome-trace timeline\n"
       "  --metrics out.json  dump the metrics registry (counters, heatmap)\n"
@@ -809,58 +853,27 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  // A help request anywhere on the line prints usage and runs nothing.
+  const Command* command = nullptr;
+  for (const Command& c : commands()) {
+    if (std::strcmp(argv[1], c.name) == 0) command = &c;
+  }
+  // A help request anywhere on the line prints usage (the named command's
+  // when there is one) and runs nothing.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
         std::strcmp(argv[i], "-h") == 0) {
-      usage();
+      usage(command);
       return 0;
     }
   }
-  struct Command {
-    int (*run)(const Args&);
-    CommandFlags flags;
-  };
-  const std::map<std::string, Command> commands = {
-      {"sparsified",
-       {cmd_sparsified,
-        {{"net", "cores", "lambda", "epochs", "samples", "seed", "exponent"},
-         {"block", "verbose"}}}},
-      {"structure",
-       {cmd_structure,
-        {{"c1", "c2", "c3", "groups", "cores", "epochs", "seed", "samples"},
-         {}}}},
-      {"traffic", {cmd_traffic, {{"net", "cores"}, {}}}},
-      {"pipeline", {cmd_pipeline, {{"net", "cores"}, {}}}},
-      {"infer",
-       {cmd_infer,
-        {{"net", "cores", "chips", "schedule-dump", "tuned-cache"},
-         {"overlap", "no-cache", "no-tuned"}}}},
-      {"stream",
-       {cmd_stream,
-        {{"net", "cores", "chips", "requests", "tuned-cache"},
-         {"no-cache", "no-tuned"}}}},
-      {"tune",
-       {cmd_tune,
-        {{"net", "cores", "chips", "budget", "restarts", "top-k", "seed",
-          "tuned-cache"},
-         {"overlap", "no-cache"}}}},
-      {"profile",
-       {cmd_profile,
-        {{"net", "cores", "chips", "requests", "out", "tune-budget",
-          "restarts", "top-k", "seed", "tuned-cache"},
-         {"no-cache", "no-tuned"}}}},
-      {"verify", {cmd_verify, {{"tuned-cache"}, {}}}},
-  };
-  const auto command = commands.find(argv[1]);
-  if (command == commands.end()) {
+  if (command == nullptr) {
     usage();
     return 2;
   }
   // Unknown flags and stray arguments are refused before anything runs.
   Args args;
   try {
-    args = parse(argc, argv, command->second.flags);
+    args = parse(argc, argv, *command);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -874,7 +887,7 @@ int main(int argc, char** argv) {
   }
   int rc = 2;
   try {
-    rc = command->second.run(args);
+    rc = command->run(args);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     rc = 2;

@@ -3,7 +3,8 @@
 
 Scans C++ sources for repo-specific contracts (DESIGN.md "Static
 analysis"): allocation discipline in hot paths, hash-order determinism,
-and LS_CHECK diagnostic conventions. Violations print as
+LS_CHECK diagnostic conventions, and per-test temp files in tests.
+Violations print as
 
     file:line: rule-id: message
 
@@ -58,6 +59,13 @@ RULES = {
         "a bare LS_CHECK abort with no diagnostic is undebuggable from a\n"
         "CI log. Use LS_CHECK_MSG with the violated quantity.",
     ),
+    "fixed-tempdir-name": (
+        "TempDir() + \"literal\" path in a test file with several TESTs",
+        "ctest -j runs every gtest case as its own process, in parallel,\n"
+        "so a fixed name under TempDir() is one file for every case that\n"
+        "reaches it (the SerializeTest flake). Append the running test's\n"
+        "name (current_test_info()->name()) so each case owns its file.",
+    ),
     "check-include-hygiene": (
         "uses LS_CHECK*/check::kEnabled without including check/check.hpp",
         "The check macros compile to nothing in unchecked builds; a file\n"
@@ -81,6 +89,9 @@ RANGE_FOR = re.compile(r"for\s*\([^;)]*:\s*(\w+)\s*\)")
 PLAIN_CHECK = re.compile(r"(?<![A-Z_])LS_CHECK\s*\(")
 CHECK_USE = re.compile(r"(?<![A-Z_])LS_CHECK(?:_MSG)?\s*\(|check::kEnabled")
 CHECK_INCLUDE = re.compile(r'#\s*include\s*"check/check\.hpp"')
+FIXED_TEMPDIR = re.compile(
+    r'\bTempDir\s*\(\s*\)\s*\+\s*"(?:[^"\\]|\\.)*"(?!\s*\+)')
+TEST_MACRO = re.compile(r"\bTEST(?:_F|_P)?\s*\(")
 
 
 def blank_comments_and_strings(text):
@@ -208,12 +219,25 @@ def check_include_hygiene(path, text, raw, report):
                "uses the check macros without including check/check.hpp")
 
 
+def check_fixed_tempdir_name(path, text, raw, report):
+    if len(TEST_MACRO.findall(text)) < 2:
+        return
+    # Matched on the raw text, where the literal is still readable; a match
+    # starting inside a comment or a string is blank in `text`.
+    for m in FIXED_TEMPDIR.finditer(raw):
+        if not text[m.start()].isspace():
+            report(path, line_of(raw, m.start()), "fixed-tempdir-name",
+                   "%s is shared by every test in the file — append the "
+                   "test name" % m.group())
+
+
 CHECKS = (
     check_alloc_in_parallel_for,
     check_raw_alloc_in_kernel,
     check_unordered_iteration,
     check_needs_message,
     check_include_hygiene,
+    check_fixed_tempdir_name,
 )
 
 
@@ -298,6 +322,11 @@ void g(int x) { LS_CHECK(x > 0); }
     "check-include-hygiene": """
 void h(int x) { LS_CHECK_MSG(x > 0, "x=%d", x); }
 """,
+    "fixed-tempdir-name": """
+#include "check/check.hpp"
+TEST(Store, Saves) { save(::testing::TempDir() + "store.json"); }
+TEST(Store, Loads) { load(::testing::TempDir() + "store.json"); }
+""",
 }
 
 CLEAN_FIXTURE = """
@@ -305,7 +334,8 @@ CLEAN_FIXTURE = """
 #include <vector>
 #include "check/check.hpp"
 #include "util/parallel.hpp"
-// A comment saying malloc( and new  and .push_back( must not trip rules.
+// A comment saying malloc( and new  and .push_back( must not trip rules,
+// nor TempDir() + "shared.json".
 int ok(std::vector<float>& out) {
   out.reserve(8);  // growth outside the parallel body is fine
   util::parallel_for(0, 8, [&](std::size_t i) { out[i] = 1.0f; });
@@ -315,6 +345,8 @@ int ok(std::vector<float>& out) {
   LS_CHECK_MSG(total == 0, "total=%d", total);
   return total;
 }
+TEST(Clean, One) { save(::testing::TempDir() + "one_" + name() + ".json"); }
+TEST(Clean, Two) { save(::testing::TempDir() + stem + ".json"); }
 """
 
 

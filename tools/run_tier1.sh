@@ -155,6 +155,19 @@ print("multichip gate OK: ConvNet 4x16 streaming %.2fx vs one 64-core mesh"
 PYEOF
 fi
 
+# Placement bench smoke (~2 s): Baseline, SS and SS_Mask, each under the
+# identity and the tuned schedule, executed flit-level. The executor
+# verifies every schedule first, so a schedule it rejects aborts the bench
+# and fails tier-1 here instead of leaving the bench broken unnoticed.
+placement_out="$build_dir/bench_placement.txt"
+"$build_dir/bench/bench_placement" > "$placement_out"
+for scheme in Baseline SS SS_Mask; do
+  for schedule in identity tuned; do
+    grep -qE "^$scheme +$schedule " "$placement_out" || {
+      echo "placement bench: no $scheme $schedule row" >&2; exit 1; }
+  done
+done
+
 # Tune smoke: a bounded search on the small net must populate the schedule
 # cache, and a follow-up inference must pick the tuned schedule up.
 tune_dir="$build_dir/tune_smoke"
