@@ -5,6 +5,7 @@
 
 #include "check/check.hpp"
 #include "core/partition.hpp"
+#include "sched/verify.hpp"
 
 namespace ls::sched {
 
@@ -201,14 +202,16 @@ bool identity_placement(const std::vector<std::size_t>& place) {
   return true;
 }
 
-}  // namespace
-
-bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
-                    PartitionDim dim) {
+std::vector<nn::LayerAnalysis> compute_layers(const nn::NetSpec& spec) {
   std::vector<nn::LayerAnalysis> computes;
   for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
     if (a.is_compute()) computes.push_back(a);
   }
+  return computes;
+}
+
+bool dim_fits(const std::vector<nn::LayerAnalysis>& computes,
+              std::size_t layer_index, PartitionDim dim) {
   if (layer_index >= computes.size()) return false;
   const nn::LayerAnalysis& a = computes[layer_index];
   const bool conv = a.spec.kind == nn::LayerKind::kConv;
@@ -231,6 +234,73 @@ bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
   return false;
 }
 
+}  // namespace
+
+bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
+                    PartitionDim dim) {
+  return dim_fits(compute_layers(spec), layer_index, dim);
+}
+
+std::string knob_error(const nn::NetSpec& spec,
+                       const std::vector<PartitionDim>& layer_dims,
+                       const std::vector<std::size_t>& placement,
+                       std::size_t cores, std::size_t chips) {
+  using std::to_string;
+  if (chips == 0 || cores == 0 || cores % chips != 0) {
+    return to_string(chips) + " chips cannot tile " + to_string(cores) +
+           " cores";
+  }
+  const std::vector<nn::LayerAnalysis> computes = compute_layers(spec);
+  if (!layer_dims.empty() && layer_dims.size() != computes.size()) {
+    return to_string(layer_dims.size()) + " layer dims for " +
+           to_string(computes.size()) + " compute layers";
+  }
+  for (std::size_t li = 0; li < layer_dims.size(); ++li) {
+    if (!dim_fits(computes, li, layer_dims[li])) {
+      return "dim '" + std::string(sched::to_string(layer_dims[li])) +
+             "' is incompatible with compute layer " + to_string(li) +
+             " ('" + computes[li].spec.name + "')";
+    }
+  }
+  // The placement permutes one chip's mesh (the whole machine on one chip).
+  const std::size_t chip_cores = cores / chips;
+  if (!placement.empty()) {
+    if (placement.size() != chip_cores) {
+      return "placement maps " + to_string(placement.size()) +
+             " partitions on a " + to_string(chip_cores) + "-core machine";
+    }
+    std::vector<bool> seen(chip_cores, false);
+    for (const std::size_t core : placement) {
+      if (core >= chip_cores || seen[core]) {
+        return "placement is not a bijective permutation (core " +
+               to_string(core) + " out of range or repeated)";
+      }
+      seen[core] = true;
+    }
+  }
+  if (chips == 1) return "";
+  if (!identity_placement(placement)) {
+    return "placement permutations are per-chip concepts; use the identity "
+           "on multi-chip schedules";
+  }
+  if (computes.size() < chips) {
+    return to_string(computes.size()) + " compute layers cannot fill " +
+           to_string(chips) + " pipeline stages";
+  }
+  // A channel split's reduce-scatter cannot ride a gateway link, so no
+  // pipeline stage may end on one.
+  const std::vector<std::size_t> stages = partition_stages(spec, chips);
+  for (std::size_t li = 0; li + 1 < stages.size(); ++li) {
+    if (stages[li] != stages[li + 1] && !layer_dims.empty() &&
+        layer_dims[li] == PartitionDim::kChannel) {
+      return "compute layer " + to_string(li) +
+             " is channel-split but ends pipeline stage " +
+             to_string(stages[li]);
+    }
+  }
+  return "";
+}
+
 Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
                const BuildOptions& opts,
                const core::SparsityProfile* sparsity, Strategy strategy) {
@@ -244,48 +314,30 @@ Schedule lower(const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
 
   // --- Tuning knobs: per-layer dims and the placement permutation ---------
   // (invariant class 8: malformed choices abort in checked builds).
-  LS_CHECK_MSG(opts.layer_dims.empty() ||
-                   opts.layer_dims.size() == computes.size(),
-               "lower('%s'): %zu layer dims for %zu compute layers",
-               spec.name.c_str(), opts.layer_dims.size(), computes.size());
+  if constexpr (check::kEnabled) {
+    const std::string error =
+        knob_error(spec, opts.layer_dims, opts.placement, P);
+    LS_CHECK_MSG(error.empty(), "lower('%s'): %s", spec.name.c_str(),
+                 error.c_str());
+    LS_CHECK_MSG(sparsity == nullptr ||
+                     std::all_of(opts.layer_dims.begin(),
+                                 opts.layer_dims.end(),
+                                 [](PartitionDim d) {
+                                   return d == PartitionDim::kKernel;
+                                 }),
+                 "lower('%s'): sparsity discounts are defined on the kernel "
+                 "split; clear layer_dims or drop the profile",
+                 spec.name.c_str());
+  }
   std::vector<std::size_t> place = opts.placement;
   if (place.empty()) {
     place.resize(P);
     for (std::size_t i = 0; i < P; ++i) place[i] = i;
   }
-  LS_CHECK_MSG(place.size() == P,
-               "lower('%s'): placement maps %zu partitions on a %zu-core "
-               "machine",
-               spec.name.c_str(), place.size(), P);
-  if constexpr (check::kEnabled) {
-    std::vector<bool> seen(P, false);
-    for (const std::size_t core : place) {
-      LS_CHECK_MSG(core < P && !seen[core],
-                   "lower('%s'): placement is not a bijective permutation "
-                   "(core %zu out of range or repeated)",
-                   spec.name.c_str(), core);
-      seen[core] = true;
-    }
-  }
   const auto dim_of = [&](std::size_t li) {
     return opts.layer_dims.empty() ? PartitionDim::kKernel
                                    : opts.layer_dims[li];
   };
-  bool any_non_kernel = false;
-  for (std::size_t li = 0; li < computes.size(); ++li) {
-    if (dim_of(li) == PartitionDim::kKernel) continue;
-    any_non_kernel = true;
-    LS_CHECK_MSG(dim_compatible(spec, li, dim_of(li)),
-                 "lower('%s'): dim '%s' is incompatible with compute layer "
-                 "%zu ('%s')",
-                 spec.name.c_str(), to_string(dim_of(li)), li,
-                 computes[li]->spec.name.c_str());
-  }
-  LS_CHECK_MSG(!any_non_kernel || sparsity == nullptr,
-               "lower('%s'): sparsity discounts are defined on the kernel "
-               "split; clear layer_dims or drop the profile",
-               spec.name.c_str());
-
   std::unordered_map<std::string, const core::TransitionTraffic*> by_layer;
   for (const auto& t : traffic.transitions) {
     by_layer.emplace(t.layer_name, &t);
@@ -542,29 +594,17 @@ Schedule lower_pipelined(const nn::NetSpec& spec,
                          const BuildOptions& opts, std::size_t chips,
                          const core::SparsityProfile* sparsity,
                          Strategy strategy) {
-  LS_CHECK_MSG(chips >= 1, "lower_pipelined('%s'): zero chips",
-               spec.name.c_str());
   if (chips == 1) return lower(spec, traffic, opts, sparsity, strategy);
-  LS_CHECK_MSG(opts.placement.empty() || identity_placement(opts.placement),
-               "lower_pipelined('%s'): placement permutations are per-chip "
-               "concepts; use the identity on multi-chip schedules",
-               spec.name.c_str());
+  if constexpr (check::kEnabled) {
+    const std::string error = knob_error(spec, opts.layer_dims,
+                                         opts.placement, opts.cores * chips,
+                                         chips);
+    LS_CHECK_MSG(error.empty(), "lower_pipelined('%s'): %s",
+                 spec.name.c_str(), error.c_str());
+  }
 
   const std::vector<std::size_t> stages = partition_stages(spec, chips);
   const std::size_t Pc = opts.cores;  // cores per chip
-
-  // Channel splits reduce-scatter on the *next* transition; a gateway
-  // link cannot carry that collective, so the last layer of every stage
-  // must not be channel-split.
-  if constexpr (check::kEnabled) {
-    for (std::size_t li = 0; li + 1 < stages.size(); ++li) {
-      LS_CHECK_MSG(stages[li] == stages[li + 1] || opts.layer_dims.empty() ||
-                       opts.layer_dims[li] != PartitionDim::kChannel,
-                   "lower_pipelined('%s'): compute layer %zu is "
-                   "channel-split but ends pipeline stage %zu",
-                   spec.name.c_str(), li, stages[li]);
-    }
-  }
 
   // One per-chip lowering of the whole net, then stage-by-stage relocation
   // onto the chip-major global core ranges.

@@ -24,6 +24,8 @@
 // equivalence suite (`ctest -L sched`) compares CmpSystem against it.
 
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "core/sparsity_profile.hpp"
 #include "core/traffic.hpp"
@@ -43,13 +45,8 @@ struct BuildOptions {
   /// SystemConfig::sparse_cycle_model).
   bool sparse_cycle_model = true;
   /// Per-compute-layer parallelization dimension, in layer order (empty =
-  /// kernel-wise everywhere, the historical default). The size must match
-  /// the spec's compute-layer count and every dim must be compatible with
-  /// its layer's shape (invariant class 8; see dim_compatible()):
-  /// height/width need an ungrouped conv with a splittable spatial axis,
-  /// channel needs >= 2 input units, is kernel-only on grouped convs, and
-  /// cannot sit on the last compute layer (its reduce-scatter rides on the
-  /// next layer transition). Non-kernel dims also require a null
+  /// kernel-wise everywhere, the historical default); the dims and the
+  /// placement must pass knob_error(). Non-kernel dims also require a null
   /// SparsityProfile — liveness discounts are defined on the kernel split.
   std::vector<PartitionDim> layer_dims;
   /// Partition index -> physical mesh core permutation (empty = identity).
@@ -61,9 +58,20 @@ struct BuildOptions {
 
 /// Whether `dim` is a legal choice for compute layer `layer_index` (index
 /// into the spec's compute layers, in order) — the tuner's move filter and
-/// the lowering's invariant-class-9 precondition.
+/// one of knob_error()'s rules.
 bool dim_compatible(const nn::NetSpec& spec, std::size_t layer_index,
                     PartitionDim dim);
+
+/// The tuning-knob rules (invariant class 8), in one place: "" when the
+/// knobs are valid for `spec` on `cores` cores in `chips` chips, else the
+/// broken rule. Dims are empty or one dim_compatible() dim per compute
+/// layer; the placement is empty or a bijection of one chip's cores; on
+/// more than one chip it is the identity, every stage gets a layer and no
+/// stage ends on a channel split. Checked builds run it in lower().
+std::string knob_error(const nn::NetSpec& spec,
+                       const std::vector<PartitionDim>& layer_dims,
+                       const std::vector<std::size_t>& placement,
+                       std::size_t cores, std::size_t chips = 1);
 
 /// The shared lowering: one compute event per compute layer of `spec`
 /// (per-core work split by core::balanced_ranges, discounted by `sparsity`
@@ -108,7 +116,8 @@ Schedule build_hybrid(const nn::NetSpec& grouped_spec,
 /// stages: returns one stage id per compute layer (in layer order),
 /// contiguous and non-decreasing with every stage non-empty, balanced by
 /// MAC prefix sums so stages carry roughly equal compute. Requires at
-/// least `chips` compute layers (invariant class 8 in checked builds).
+/// least `chips` compute layers (a knob_error() rule; checked builds
+/// abort).
 std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
                                           std::size_t chips);
 
@@ -121,10 +130,8 @@ std::vector<std::size_t> partition_stages(const nn::NetSpec& spec,
 /// layer's unique input activations (the serial link carries each byte
 /// once — no per-core fan-out off-die). The result spans
 /// chips * opts.cores cores with Schedule::chips = chips; chips == 1
-/// degenerates to `lower()` exactly. opts.placement must be empty or the
-/// identity (placement permutations are per-chip-mesh concepts), and a
-/// channel split may not sit on the last layer of any stage (its
-/// reduce-scatter cannot ride a gateway link).
+/// degenerates to `lower()` exactly. The knobs must pass knob_error() on
+/// chips * opts.cores cores in `chips` chips.
 Schedule lower_pipelined(const nn::NetSpec& spec,
                          const core::InferenceTraffic& traffic,
                          const BuildOptions& opts, std::size_t chips,

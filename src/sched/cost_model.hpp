@@ -76,7 +76,8 @@ struct CycleEstimate {
 /// Analytic estimate of executing `schedule` once (see header comment for
 /// the model). Deterministic and allocation-light: O(1) per message plus
 /// O(mesh links) per burst, so it is safe to call thousands of times from
-/// the tuner's search loop.
+/// the tuner's search loop. `schedule` must be one sched::verify accepts
+/// (every builder's output is).
 CycleEstimate estimate_cycles(const Schedule& schedule,
                               const CostModelConfig& cfg);
 

@@ -15,16 +15,8 @@
 // NetSpec + InferenceTraffic (+ optional SparsityProfile) into a Schedule;
 // ls::sim::CmpSystem is an executor over schedules — the same engine runs
 // every strategy, single-pass or software-pipelined across many requests.
-//
-// Invariants (validate(); LS_CHECK-enforced in checked builds):
-//   * dependencies point backwards (the event list is a topological order,
-//     so the graph is acyclic by construction),
-//   * every comm event is immediately followed by the compute event it
-//     feeds (same layer), which is what the executor's layer pairing and
-//     the overlap ablation rely on,
-//   * event payloads stay inside the machine: per-core work vectors have
-//     exactly `cores` entries, message endpoints are < cores, and a comm
-//     event's bytes equal the sum of its messages.
+// The structural rules a well-formed schedule obeys live in one place,
+// sched::verify (verify.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -33,7 +25,6 @@
 
 #include "accel/core_model.hpp"
 #include "noc/simulator.hpp"
-#include "nn/layer_spec.hpp"
 
 namespace ls::util {
 class JsonWriter;
@@ -127,7 +118,7 @@ struct Schedule {
   std::size_t chips = 1;
   /// Partition -> physical-core permutation the lowering applied (empty =
   /// identity). Events already carry physical core ids; this records the
-  /// mapping for dumps and for invariant class 8 (bijectivity).
+  /// mapping for dumps and for verify()'s bijectivity rule.
   std::vector<std::size_t> placement;
   /// Topologically ordered: every event's deps precede it.
   std::vector<Event> events;
@@ -137,16 +128,6 @@ struct Schedule {
   /// Total bytes moved by all comm events.
   std::size_t traffic_bytes() const;
 };
-
-/// Checked-build structural validation (see header comment for the
-/// invariant list). Compiles to nothing when LS_CHECKS is off; in checked
-/// builds a malformed schedule aborts with a diagnostic. The executor runs
-/// this before executing any schedule.
-void validate(const Schedule& schedule);
-
-/// Additionally checks the schedule against the architecture it claims to
-/// implement: one compute event per compute layer of `spec`, in order.
-void validate_against(const Schedule& schedule, const nn::NetSpec& spec);
 
 struct CycleEstimate;  // cost_model.hpp
 

@@ -204,6 +204,15 @@ VerifyReport verify(const Schedule& schedule, const VerifyOptions& options) {
                 e.layer_name.c_str(), e.chip, consumer->chip);
       }
 
+      std::size_t bytes = 0;
+      for (const noc::Message& msg : e.messages) bytes += msg.bytes;
+      if (bytes != e.traffic_bytes) {
+        out.add(VerifyCode::kByteTotalMismatch, id,
+                "comm event '%s' declares %zu bytes but its messages "
+                "carry %zu",
+                e.layer_name.c_str(), e.traffic_bytes, bytes);
+      }
+
       if (e.inter_chip) {
         // An inter-chip transfer is a single gateway-to-gateway message
         // entering chip e.chip from its predecessor: bytes cross chip
@@ -229,14 +238,6 @@ VerifyReport verify(const Schedule& schedule, const VerifyOptions& options) {
                     msg.src, msg.dst, want_src, want_dst);
           }
         }
-        std::size_t ic_bytes = 0;
-        for (const noc::Message& msg : e.messages) ic_bytes += msg.bytes;
-        if (ic_bytes != e.traffic_bytes) {
-          out.add(VerifyCode::kByteTotalMismatch, id,
-                  "comm event '%s' declares %zu bytes but its messages "
-                  "carry %zu",
-                  e.layer_name.c_str(), e.traffic_bytes, ic_bytes);
-        }
         continue;  // mesh-route/orphan/order checks are on-chip concepts
       }
 
@@ -251,14 +252,12 @@ VerifyReport verify(const Schedule& schedule, const VerifyOptions& options) {
           producer->per_core_work.size() == P &&
           consumer->per_core_work.size() == P;
 
-      std::size_t bytes = 0;
       bool prev_on_mesh = false;
       std::size_t prev_src = 0;
       std::size_t prev_dst = 0;
       const std::size_t base = e.chip * cpc;
       for (std::size_t m = 0; m < e.messages.size(); ++m) {
         const noc::Message& msg = e.messages[m];
-        bytes += msg.bytes;
         // On-chip bursts stay inside their chip's core range; the route
         // check below then runs in chip-local coordinates (base == 0 on
         // single-chip schedules, where this is the historical check).
@@ -321,13 +320,13 @@ VerifyReport verify(const Schedule& schedule, const VerifyOptions& options) {
         prev_src = msg.src;
         prev_dst = msg.dst;
       }
-      if (bytes != e.traffic_bytes) {
-        out.add(VerifyCode::kByteTotalMismatch, id,
-                "comm event '%s' declares %zu bytes but its messages "
-                "carry %zu",
-                e.layer_name.c_str(), e.traffic_bytes, bytes);
-      }
     } else {
+      if (e.inter_chip) {
+        out.add(VerifyCode::kChipBoundaryViolation, id,
+                "compute event '%s' is flagged inter-chip — only comm "
+                "events cross a chip boundary",
+                e.layer_name.c_str());
+      }
       if (e.per_core_work.size() != P) {
         out.add(VerifyCode::kPlacementNotBijective, id,
                 "compute event '%s' carries work for %zu cores on a "
@@ -403,6 +402,32 @@ VerifyReport verify(const Schedule& schedule, const VerifyOptions& options) {
     }
   }
   return report;
+}
+
+void validate_against(const Schedule& schedule, const nn::NetSpec& spec) {
+  if constexpr (check::kEnabled) {
+    VerifyOptions options;
+    options.check_capacity = false;
+    const VerifyReport report = verify(schedule, options);
+    LS_CHECK_MSG(report.ok(), "schedule '%s' failed static verification:\n%s",
+                 schedule.net_name.c_str(), report.to_string().c_str());
+    std::vector<std::string> expected;
+    for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
+      if (a.is_compute()) expected.push_back(a.spec.name);
+    }
+    std::vector<std::string> covered;
+    for (const Event& e : schedule.events) {
+      if (e.kind == EventKind::kCompute) covered.push_back(e.layer_name);
+    }
+    LS_CHECK_MSG(covered.size() == expected.size(),
+                 "schedule '%s' covers %zu compute layers but '%s' has %zu",
+                 schedule.net_name.c_str(), covered.size(),
+                 spec.name.c_str(), expected.size());
+    LS_CHECK_MSG(covered == expected,
+                 "schedule '%s' does not cover the compute layers of '%s' "
+                 "in order",
+                 schedule.net_name.c_str(), spec.name.c_str());
+  }
 }
 
 namespace testing {

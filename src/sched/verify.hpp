@@ -1,24 +1,19 @@
 #pragma once
 // Static schedule verifier (DESIGN.md §4j "Static analysis").
 //
-// `sched::validate` (schedule.hpp) is an LS_CHECK layer: it aborts on the
-// first structural violation and compiles to nothing in unchecked builds.
-// That is the right tool for catching builder bugs in CI, but the wrong
-// one for *data*: tuned-schedule caches are loaded from disk, hand-edited,
-// and consumed blind by serving — a malformed schedule must be rejected
-// with a diagnostic in every build, before a single flit is simulated.
-//
-// verify() is that front door: a pure function over any Schedule that
-// proves, without executing anything,
+// verify() is the one home of a Schedule's structural rules: a pure pass,
+// active in every build, that reports rather than aborts — schedules also
+// come from tuned caches on disk. It proves, without executing anything,
 //   * acyclicity        — every dependency edge points to an earlier event
 //     (the event list is a topological order, so execution cannot
 //     deadlock),
 //   * placement         — the recorded partition->core permutation is a
 //     bijection of 0..cores-1, and every compute event covers exactly the
 //     core range (per-core work vector of `cores` entries),
-//   * event pairing     — every comm burst is immediately followed by the
-//     compute event it feeds (same layer) and has a producing compute
-//     event to drain from,
+//   * event pairing     — every event names its layer; every comm burst is
+//     non-empty, is immediately followed by the compute event it feeds
+//     (same layer) and has a producing compute event to drain from; a
+//     compute event carries no comm payload,
 //   * burst endpoints   — every message's source core holds work in the
 //     producing layer and its destination holds work in the consuming
 //     layer (skipped after a channel-split producer, whose reduce-scatter
@@ -39,17 +34,19 @@
 //     make the channel-split reduce-scatter's accumulation order
 //     ambiguous. A channel-split compute event must also not be last (its
 //     reduce-scatter rides on the next layer transition),
-//   * chip hierarchy    — multi-chip schedules only: compute chip ids form
-//     a non-decreasing onto map of pipeline stages over 0..chips-1, work
-//     and on-chip bursts stay inside their chip's chip-major core range,
-//     routes are checked on the per-chip mesh, and every inter-chip
-//     transfer is a single gateway(chip-1) -> gateway(chip) message —
-//     bytes cross chip boundaries only at gateway links.
+//   * chip hierarchy    — every event's chip exists, only comm events
+//     carry the inter-chip flag, and every inter-chip transfer is a single
+//     gateway(chip-1) -> gateway(chip) message (bytes cross chip
+//     boundaries only at gateway links). On multi-chip schedules, compute
+//     chip ids also form a non-decreasing onto map of pipeline stages over
+//     0..chips-1, work and on-chip bursts stay inside their chip's
+//     chip-major core range, and routes are checked on the per-chip mesh.
 //
 // Violations are collected into a VerifyReport — code, event id, message —
 // never thrown or aborted, so callers decide: CmpSystem::execute rejects
-// with std::invalid_argument, the tuner skips the candidate, and
-// `ls_experiment verify` audits a whole cache file and exits nonzero.
+// with std::invalid_argument, the tuner skips the candidate,
+// validate_against aborts a checked build, and `ls_experiment verify`
+// audits a whole cache file and exits nonzero.
 //
 // Cost: O(events + messages + cores) with small constants — cheap enough
 // to run on every execute() and negligible (<1%) next to the analytic
@@ -60,6 +57,7 @@
 #include <vector>
 
 #include "accel/core_model.hpp"
+#include "nn/layer_spec.hpp"
 #include "noc/simulator.hpp"
 #include "sched/schedule.hpp"
 
@@ -125,6 +123,12 @@ struct VerifyOptions {
 /// report == sound). Never throws, never aborts, active in all builds.
 VerifyReport verify(const Schedule& schedule,
                     const VerifyOptions& options = {});
+
+/// The builders' self-check (invariant class 7): in checked builds, aborts
+/// unless verify() is clean (capacity off — a builder has no accelerator
+/// config) and the schedule has one compute event per compute layer of
+/// `spec`, in order. Compiles to nothing when LS_CHECKS is off.
+void validate_against(const Schedule& schedule, const nn::NetSpec& spec);
 
 namespace testing {
 

@@ -111,30 +111,20 @@ sched::Schedule CmpSystem::build_schedule(
 InferenceResult CmpSystem::run_inference(
     const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
     const core::SparsityProfile* sparsity) const {
-  const sched::Schedule schedule = build_schedule(spec, traffic, sparsity);
-  // The builder must have lowered every compute layer of the spec, in
-  // order — the IR detour cannot drop work.
-  sched::validate_against(schedule, spec);
-  return execute(schedule);
+  return execute(build_schedule(spec, traffic, sparsity));
 }
 
 InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
                                    std::uint64_t stream_epoch) const {
-  // Front door: statically verify before simulating a single flit. Unlike
-  // sched::validate (LS_CHECK, checked builds only), this rejects
-  // malformed schedules — stale tuned caches, hand-edited dumps — with a
-  // structured diagnostic in every build.
-  if (schedule.cores != cfg_.cores) {
+  // Front door: statically verify before simulating a single flit. This
+  // rejects malformed schedules — stale tuned caches, hand-edited dumps —
+  // with a structured diagnostic in every build.
+  if (schedule.cores != cfg_.cores || schedule.chips != cfg_.chips) {
     throw std::invalid_argument(
         "schedule '" + schedule.net_name + "' targets " +
-        std::to_string(schedule.cores) + " cores but this system has " +
-        std::to_string(cfg_.cores));
-  }
-  if (schedule.chips != cfg_.chips) {
-    throw std::invalid_argument(
-        "schedule '" + schedule.net_name + "' targets " +
+        std::to_string(schedule.cores) + " cores on " +
         std::to_string(schedule.chips) + " chips but this system has " +
-        std::to_string(cfg_.chips));
+        std::to_string(cfg_.cores) + " on " + std::to_string(cfg_.chips));
   }
   sched::VerifyOptions vopts;
   vopts.accel = core_model_.config();
@@ -145,7 +135,6 @@ InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
                                 "' failed static verification:\n" +
                                 report.to_string());
   }
-  sched::validate(schedule);
   const std::size_t P = cfg_.cores;
 
   const bool tracing = obs::trace_enabled();
@@ -221,7 +210,7 @@ InferenceResult CmpSystem::execute(const sched::Schedule& schedule,
     } else if (pending_comm != nullptr) {
       // The flit-level simulation and the schedule's burst must account
       // for the same traffic: the simulator's flit count is exactly the
-      // packetization of the comm event's messages (validate() already
+      // packetization of the comm event's messages (verify() already
       // tied message bytes to the event's claimed total). Every downstream
       // number (comm cycles, NoC energy, heatmaps) rides on this.
       if constexpr (check::kEnabled) {
@@ -309,7 +298,7 @@ StreamResult CmpSystem::run_stream(const sched::Schedule& schedule,
   }
 
   // Per-event durations, read off the single-pass timeline. A comm event is
-  // always immediately followed by its compute event (validate()), so the
+  // always immediately followed by its compute event (verify()), so the
   // layer index advances on computes and a comm event reads the *next*
   // layer's drain time. Streaming charges the full drain (comm_cycles, not
   // the single-pass overlap-ablated blocking time): overlap here is

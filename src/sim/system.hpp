@@ -181,7 +181,9 @@ class CmpSystem {
       const nn::NetSpec& spec, const core::InferenceTraffic& traffic,
       const core::SparsityProfile* sparsity = nullptr) const;
 
-  /// Executes any well-formed schedule (checked-build validated). Burst
+  /// Executes a schedule after checking that it targets this system's
+  /// cores and chips and that sched::verify finds no violation (either
+  /// failure throws std::invalid_argument). Burst
   /// simulations go through the memoizing cache under `stream_epoch`
   /// (see noc::NocRunCache::run; 0 = the shared single-pass memo space).
   InferenceResult execute(const sched::Schedule& schedule,

@@ -43,22 +43,22 @@ class Search {
     for (const nn::LayerAnalysis& a : nn::analyze(spec)) {
       layers += a.is_compute() ? 1 : 0;
     }
+    // A dim is legal on a layer when the lowering's own knob rules
+    // (sched::knob_error) accept it there with every other layer
+    // kernel-wise, so every candidate stays lowerable: dim_compatible, and
+    // on a multi-chip package no channel split ending a pipeline stage.
     legal_dims_.resize(layers);
-    // Multi-chip: a channel split's reduce-scatter rides on the next layer
-    // transition, which does not exist across a stage boundary — exclude
-    // kChannel on stage-ending layers so every candidate stays lowerable.
-    std::vector<std::size_t> stages;
-    if (system.chips > 1) {
-      stages = sched::partition_stages(spec, system.chips);
-    }
+    std::vector<sched::PartitionDim> dims(layers, sched::PartitionDim::kKernel);
     for (std::size_t li = 0; li < layers; ++li) {
-      const bool stage_end =
-          !stages.empty() &&
-          (li + 1 == layers || stages[li + 1] != stages[li]);
       for (const sched::PartitionDim d : kAllDims) {
-        if (stage_end && d == sched::PartitionDim::kChannel) continue;
-        if (sched::dim_compatible(spec, li, d)) legal_dims_[li].push_back(d);
+        dims[li] = d;
+        if (d == sched::PartitionDim::kKernel ||
+            sched::knob_error(spec, dims, {}, system.cores, system.chips)
+                .empty()) {
+          legal_dims_[li].push_back(d);
+        }
       }
+      dims[li] = sched::PartitionDim::kKernel;
     }
   }
 

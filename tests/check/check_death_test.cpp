@@ -8,9 +8,16 @@
 //   4. stale block-sparsity bitmap        (nn::BlockSparsity::map)
 //   5. Param::version monotonicity        (nn::BlockSparsity::map)
 //   6. thread-pool misuse                 (util::ThreadPool::set_num_threads)
-//   7. schedule well-formedness           (sched::validate / validate_against)
-//   8. tuning-knob preconditions          (sched::lower: placement
-//      bijectivity, per-layer dim compatibility, dims/sparsity exclusion)
+//   7. builder self-check                 (sched::validate_against: a
+//      schedule sched::verify rejects, or one missing a compute layer)
+//   8. tuning-knob preconditions          (sched::lower via
+//      sched::knob_error: placement bijectivity, per-layer dim
+//      compatibility; and the dims/sparsity exclusion)
+//
+// The per-rule structural negatives (a forward dependency, a broken
+// comm/compute pairing, ...) are every-build tests of sched::verify in
+// tests/sched/verify_test.cpp; class 7 here only proves the checked-build
+// abort wiring.
 //
 // This file is only compiled into checked builds (tests/CMakeLists.txt
 // gates it on LS_CHECKS); in unchecked builds the macros are no-ops and
@@ -33,6 +40,7 @@
 #include "noc/topology.hpp"
 #include "sched/builders.hpp"
 #include "sched/schedule.hpp"
+#include "sched/verify.hpp"
 #include "tensor/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -175,7 +183,7 @@ TEST_F(CheckDeath, PoolResizeFromInsideTaskDies) {
       "set_num_threads called from inside a pool task");
 }
 
-// --- 7. schedule well-formedness ---------------------------------------------
+// --- 7. builder self-check ---------------------------------------------------
 
 // A valid lowered schedule, mutated one invariant at a time.
 sched::Schedule lowered_convnet() {
@@ -188,53 +196,11 @@ sched::Schedule lowered_convnet() {
       opts);
 }
 
-TEST_F(CheckDeath, ScheduleForwardDependencyDies) {
+TEST_F(CheckDeath, ScheduleFailingVerifyDies) {
+  const nn::NetSpec spec = nn::convnet_spec();
   sched::Schedule s = lowered_convnet();
   s.events[0].deps.push_back(s.events.size() - 1);  // dep points forward
-  EXPECT_DEATH(sched::validate(s), "deps must point backwards");
-}
-
-TEST_F(CheckDeath, ScheduleCommByteMismatchDies) {
-  sched::Schedule s = lowered_convnet();
-  for (sched::Event& e : s.events) {
-    if (e.kind != sched::EventKind::kComm) continue;
-    e.traffic_bytes += 1;  // claims one byte its messages do not carry
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s), "but its messages carry");
-}
-
-TEST_F(CheckDeath, ScheduleOrphanCommEventDies) {
-  sched::Schedule s = lowered_convnet();
-  for (std::size_t i = 0; i < s.events.size(); ++i) {
-    if (s.events[i].kind != sched::EventKind::kComm) continue;
-    s.events[i + 1].layer_name = "someone_else";  // breaks the pairing
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s),
-               "not immediately followed by its compute event");
-}
-
-TEST_F(CheckDeath, ScheduleWrongCoreCountWorkDies) {
-  sched::Schedule s = lowered_convnet();
-  for (sched::Event& e : s.events) {
-    if (e.kind != sched::EventKind::kCompute) continue;
-    e.per_core_work.pop_back();  // work vector no longer covers the machine
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s), "carries work for");
-}
-
-TEST_F(CheckDeath, ScheduleMessageOutsideMachineDies) {
-  sched::Schedule s = lowered_convnet();
-  for (sched::Event& e : s.events) {
-    if (e.kind != sched::EventKind::kComm) continue;
-    e.messages.front().dst = s.cores + 7;
-    e.traffic_bytes = 0;
-    for (const noc::Message& m : e.messages) e.traffic_bytes += m.bytes;
-    break;
-  }
-  EXPECT_DEATH(sched::validate(s), "outside the");
+  EXPECT_DEATH(sched::validate_against(s, spec), "cyclic-dependence");
 }
 
 TEST_F(CheckDeath, ScheduleMissingLayerCoverageDies) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/partition.hpp"
@@ -304,6 +305,54 @@ TEST(PartitionDim, DimCompatibleRules) {
   EXPECT_FALSE(sched::dim_compatible(spec, 4, PartitionDim::kChannel));
   // Out-of-range layer index is simply incompatible.
   EXPECT_FALSE(sched::dim_compatible(spec, 99, PartitionDim::kKernel));
+}
+
+// knob_error is the one copy of the tuning-knob rules; every store read
+// runs it in every build, so each rule must name itself here too.
+TEST(PartitionDim, KnobErrorNamesEachBrokenRule) {
+  const nn::NetSpec spec = nn::convnet_spec();  // conv1..3, ip1, ip2
+  using sched::PartitionDim;
+  using sched::knob_error;
+  const auto names = [](const std::string& error, const char* rule) {
+    return error.find(rule) != std::string::npos;
+  };
+  const std::vector<PartitionDim> kernel(5, PartitionDim::kKernel);
+  std::vector<std::size_t> identity(16);
+  std::iota(identity.begin(), identity.end(), 0);
+  EXPECT_EQ(knob_error(spec, {}, {}, 16), "");
+  EXPECT_EQ(knob_error(spec, kernel, identity, 16), "");
+  EXPECT_EQ(knob_error(spec, kernel, identity, 64, 4), "");
+
+  EXPECT_TRUE(names(knob_error(spec, {}, {}, 16, 3), "chips cannot tile"));
+  EXPECT_TRUE(names(knob_error(spec, {PartitionDim::kKernel}, {}, 16),
+                    "1 layer dims for 5 compute layers"));
+  std::vector<PartitionDim> dims = kernel;
+  dims[3] = PartitionDim::kHeight;  // ip1 is an FC layer
+  EXPECT_TRUE(names(knob_error(spec, dims, {}, 16),
+                    "incompatible with compute layer 3 ('ip1')"));
+  EXPECT_TRUE(names(knob_error(spec, {}, {0, 1, 2, 3}, 16),
+                    "placement maps 4 partitions"));
+  std::vector<std::size_t> place = identity;
+  place[0] = 99;
+  EXPECT_TRUE(names(knob_error(spec, {}, place, 16),
+                    "not a bijective permutation (core 99"));
+
+  // Multi-chip rules: the placement permutes one chip's 16 cores.
+  place = identity;
+  std::swap(place[0], place[1]);
+  EXPECT_TRUE(names(knob_error(spec, {}, place, 64, 4), "per-chip"));
+  EXPECT_TRUE(names(knob_error(spec, {}, {}, 64, 8),
+                    "5 compute layers cannot fill 8 pipeline stages"));
+  const std::vector<std::size_t> stages = sched::partition_stages(spec, 2);
+  for (std::size_t li = 0; li + 1 < stages.size(); ++li) {
+    if (stages[li] == stages[li + 1]) continue;
+    dims = kernel;
+    dims[li] = PartitionDim::kChannel;
+    ASSERT_TRUE(sched::dim_compatible(spec, li, PartitionDim::kChannel));
+    EXPECT_EQ(knob_error(spec, dims, {}, 16), "");
+    EXPECT_TRUE(names(knob_error(spec, dims, {}, 32, 2),
+                      "ends pipeline stage"));
+  }
 }
 
 TEST(PartitionDim, StringRoundTrip) {

@@ -162,6 +162,61 @@ TEST(VerifyNegative, ZeroCoresIsScheduleLevelViolation) {
   expect_pinpointed(verify(s), VerifyCode::kPlacementNotBijective, kNoEvent);
 }
 
+// Hand-mutated shapes beyond the corrupt() seeds: each structural rule has
+// its every-build negative here, pinned to the offending event.
+
+EventId first_of(const Schedule& s, EventKind kind) {
+  for (EventId id = 0; id < s.events.size(); ++id) {
+    if (s.events[id].kind == kind) return id;
+  }
+  return kNoEvent;
+}
+
+TEST(VerifyNegative, ForwardDependencyPinpointed) {
+  Schedule s = lowered_convnet();
+  s.events[0].deps.push_back(s.events.size() - 1);  // dep points forward
+  expect_pinpointed(verify(s), VerifyCode::kCyclicDependence, 0);
+}
+
+TEST(VerifyNegative, BrokenCommComputePairingPinpointed) {
+  Schedule s = lowered_convnet();
+  const EventId id = first_of(s, EventKind::kComm);
+  ASSERT_NE(id, kNoEvent);
+  s.events[id + 1].layer_name = "someone_else";
+  expect_pinpointed(verify(s), VerifyCode::kUnpairedEvent, id);
+}
+
+TEST(VerifyNegative, ShortWorkVectorPinpointed) {
+  Schedule s = lowered_convnet();
+  const EventId id = first_of(s, EventKind::kCompute);
+  ASSERT_NE(id, kNoEvent);
+  s.events[id].per_core_work.pop_back();  // no longer covers the machine
+  expect_pinpointed(verify(s), VerifyCode::kPlacementNotBijective, id);
+}
+
+TEST(VerifyNegative, MessageOutsideMachinePinpointed) {
+  Schedule s = lowered_convnet();
+  const EventId id = first_of(s, EventKind::kComm);
+  ASSERT_NE(id, kNoEvent);
+  Event& e = s.events[id];
+  e.messages.front().dst = s.cores + 7;
+  e.traffic_bytes = 0;  // keep the byte total consistent
+  for (const noc::Message& m : e.messages) e.traffic_bytes += m.bytes;
+  const VerifyReport report = verify(s);
+  expect_pinpointed(report, VerifyCode::kOffMeshRoute, id);
+  for (const Violation& v : report.violations) {
+    EXPECT_NE(v.code, VerifyCode::kByteTotalMismatch) << report.to_string();
+  }
+}
+
+TEST(VerifyNegative, InterChipComputeEventPinpointed) {
+  Schedule s = lowered_convnet();
+  const EventId id = first_of(s, EventKind::kCompute);
+  ASSERT_NE(id, kNoEvent);
+  s.events[id].inter_chip = true;  // only comm events cross chips
+  expect_pinpointed(verify(s), VerifyCode::kChipBoundaryViolation, id);
+}
+
 // The front door: a corrupted schedule must be rejected by execute() with
 // a structured diagnostic in every build — before a single flit is
 // simulated, with no reliance on a checked-build LS_CHECK abort.

@@ -323,10 +323,12 @@ tune::CacheKey tune_key(const nn::NetSpec& spec,
   return key;
 }
 
-/// Transparent tuned-schedule pickup for infer/stream: on a store hit the
-/// cached candidate is lowered against this exact traffic; on a miss (or
-/// --no-tuned) the untuned kernel-wise schedule is returned unchanged —
-/// bit-exact with the historical path.
+/// Transparent tuned-schedule pickup for infer/stream/profile: on a store
+/// hit the cached candidate's knobs are checked (sched::knob_error) and it
+/// is lowered against this exact traffic; on a miss (or --no-tuned) the
+/// untuned kernel-wise schedule is returned unchanged — bit-exact with the
+/// historical path. A stored candidate that breaks a knob rule throws, so
+/// the command exits 1 instead of lowering it out of bounds.
 sched::Schedule schedule_for_run(const Args& args, const nn::NetSpec& spec,
                                  const sim::SystemConfig& cfg,
                                  const sim::CmpSystem& system,
@@ -341,6 +343,15 @@ sched::Schedule schedule_for_run(const Args& args, const nn::NetSpec& spec,
     if (!cache.load_file(tuned_cache_path(args), &error)) {
       std::fprintf(stderr, "warning: %s (running untuned)\n", error.c_str());
     } else if (const tune::CacheEntry* e = cache.find(tune_key(spec, cfg))) {
+      if (const std::string bad = sched::knob_error(
+              spec, e->candidate.layer_dims, e->candidate.placement,
+              cfg.cores, cfg.chips);
+          !bad.empty()) {
+        throw std::runtime_error("tuned store " + tuned_cache_path(args) +
+                                 ": entry '" +
+                                 tune::cache_key_string(tune_key(spec, cfg)) +
+                                 "': " + bad);
+      }
       hits.inc();
       std::printf("using tuned schedule from %s (est %llu cyc, validated "
                   "%llu cyc)\n",
@@ -519,14 +530,10 @@ int cmd_tune(const Args& args) {
 }
 
 /// Audits one cache entry: parse the canonical key, rebuild the system it
-/// targets, structurally pre-validate the candidate, lower it against
-/// freshly derived traffic, and run the static verifier. Returns "" when
-/// the entry is sound, else newline-terminated diagnostic lines.
-///
-/// The pre-validation matters in release builds: the lowering's own
-/// LS_CHECK guards compile out there, so a cache entry with the wrong
-/// layer-dim count or a bogus placement would index out of bounds long
-/// before the verifier ever saw a schedule.
+/// targets, check the candidate's knobs (sched::knob_error, the same check
+/// every replay runs before lowering), lower it against freshly derived
+/// traffic, and run the static verifier. Returns "" when the entry is
+/// sound, else newline-terminated diagnostic lines.
 std::string audit_entry(const std::string& key_string,
                         const tune::CacheEntry& entry) {
   tune::CacheKey key;
@@ -547,43 +554,13 @@ std::string audit_entry(const std::string& key_string,
   }
   if (!net_ok) return "        unknown net '" + key.net + "'\n";
 
-  std::size_t compute_layers = 0;
-  for (const auto& a : nn::analyze(spec)) {
-    if (a.is_compute()) ++compute_layers;
-  }
   const tune::Candidate& cand = entry.candidate;
-  if (!cand.layer_dims.empty() && cand.layer_dims.size() != compute_layers) {
-    return "        " + std::to_string(cand.layer_dims.size()) +
-           " layer dims for " + std::to_string(compute_layers) +
-           " compute layers\n";
+  if (const std::string bad = sched::knob_error(
+          spec, cand.layer_dims, cand.placement, key.cores, key.chips);
+      !bad.empty()) {
+    return "        " + bad + "\n";
   }
-  for (std::size_t i = 0; i < cand.layer_dims.size(); ++i) {
-    if (!sched::dim_compatible(spec, i, cand.layer_dims[i])) {
-      return "        dim '" +
-             std::string(sched::to_string(cand.layer_dims[i])) +
-             "' is illegal for compute layer " + std::to_string(i) + "\n";
-    }
-  }
-  if (key.chips == 0 || key.cores % key.chips != 0) {
-    return "        " + std::to_string(key.chips) +
-           " chips cannot tile " + std::to_string(key.cores) + " cores\n";
-  }
-  // Placement permutes one chip's mesh (the whole machine on one chip).
   const std::size_t chip_cores = key.cores / key.chips;
-  if (!cand.placement.empty()) {
-    if (cand.placement.size() != chip_cores) {
-      return "        placement maps " +
-             std::to_string(cand.placement.size()) + " partitions on a " +
-             std::to_string(chip_cores) + "-core chip\n";
-    }
-    std::vector<bool> seen(chip_cores, false);
-    for (const std::size_t c : cand.placement) {
-      if (c >= chip_cores || seen[c]) {
-        return "        placement is not a permutation of the core range\n";
-      }
-      seen[c] = true;
-    }
-  }
 
   sim::SystemConfig cfg;
   cfg.cores = key.cores;
@@ -607,14 +584,13 @@ std::string audit_entry(const std::string& key_string,
   } catch (const std::exception& e) {
     return "        lowering failed: " + std::string(e.what()) + "\n";
   }
+  // The verifier's report, indented under the entry's FAIL line.
+  const std::string text = report.to_string();
   std::string out;
-  for (const sched::Violation& v : report.violations) {
-    out += "        ";
-    out += v.event == sched::kNoEvent
-               ? "schedule ["
-               : "event " + std::to_string(v.event) + " [";
-    out += sched::to_string(v.code);
-    out += "]: " + v.message + "\n";
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t end = text.find('\n', at) + 1;
+    out += "        " + text.substr(at, end - at);
+    at = end;
   }
   return out;
 }
