@@ -4,8 +4,9 @@
 // GEMM shape: the scalar kernel (gemm::gemm_nn) vs the packed one
 // (simd::gemm_nn), with GFLOP/s. The direct numbers are what the >=2x
 // tier-1 gate reads — layer forward time includes the im2col packing,
-// which dilutes the kernel speedup. `--json PATH` emits machine-readable
-// results for the tier-1 wrapper (schema 3).
+// which dilutes the kernel speedup. Each layer row also reports bwd/fwd,
+// the backward-to-forward wall-clock ratio. `--json PATH` emits
+// machine-readable results for the tier-1 wrapper (schema 4).
 //
 // A second section measures the block-sparse fast path: dense Conv2D /
 // FullyConnected vs the armed sparse path on the same pruned weights at
@@ -51,6 +52,7 @@ struct BenchCase {
 struct BenchResult {
   BenchCase c;
   double fwd_ms = 0.0, bwd_ms = 0.0;
+  double bwd_over_fwd() const { return bwd_ms / fwd_ms; }
   // Direct forward-GEMM shape (per group, per sample) and single-thread
   // kernel timings at it.
   std::size_t mm_m = 0, mm_n = 0, mm_k = 0;
@@ -155,7 +157,7 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
   ls::util::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernel_micro");
-  w.key("schema").value(static_cast<std::uint64_t>(3));
+  w.key("schema").value(static_cast<std::uint64_t>(4));
   w.key("threads").value(static_cast<std::uint64_t>(ls::util::num_threads()));
   w.key("simd_available").value(ls::nn::simd::vectorized());
   w.key("simd_isa").value(ls::nn::simd::microkernel_isa());
@@ -166,6 +168,7 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
     w.key("layer").value(r.c.layer);
     w.key("fwd_ms").value(r.fwd_ms);
     w.key("bwd_ms").value(r.bwd_ms);
+    w.key("bwd_over_fwd").value(r.bwd_over_fwd());
     w.key("mm_m").value(static_cast<std::uint64_t>(r.mm_m));
     w.key("mm_n").value(static_cast<std::uint64_t>(r.mm_n));
     w.key("mm_k").value(static_cast<std::uint64_t>(r.mm_k));
@@ -315,13 +318,14 @@ int main(int argc, char** argv) {
   ls::util::Table table(
       "conv fwd/bwd wall-clock per call, batch 8, + direct 1-thread GEMM at "
       "the fwd shape");
-  table.set_header({"net", "layer", "fwd", "bwd", "MxNxK", "scalar GF/s",
-                    "simd GF/s", "mm speedup"});
+  table.set_header({"net", "layer", "fwd", "bwd", "bwd/fwd", "MxNxK",
+                    "scalar GF/s", "simd GF/s", "mm speedup"});
   for (const BenchCase& c : cases_from_zoo()) {
     const BenchResult r = run_case(c);
     table.add_row({r.c.net, r.c.layer,
                    ls::util::fmt_double(r.fwd_ms, 2) + " ms",
                    ls::util::fmt_double(r.bwd_ms, 2) + " ms",
+                   ls::util::fmt_double(r.bwd_over_fwd(), 2) + "x",
                    std::to_string(r.mm_m) + "x" + std::to_string(r.mm_n) +
                        "x" + std::to_string(r.mm_k),
                    ls::util::fmt_double(r.mm_scalar_gflops(), 1),

@@ -42,6 +42,23 @@ void validate(const Conv2DConfig& cfg) {
   }
 }
 
+// Backward fans out over this many samples at a time. The block bounds the
+// caller's partial slab; it cannot change a result, because partials are
+// always folded in ascending sample order.
+constexpr std::size_t kBwdBlock = 8;
+// Weight-gradient elements per fold task.
+constexpr std::size_t kReduceChunk = 4096;
+
+// dst[e] += parts[b * stride + e] for b = 0, 1, ..., count - 1, in that
+// order for every e in [0, len).
+void add_partials(float* dst, const float* parts, std::size_t stride,
+                  std::size_t count, std::size_t len) {
+  for (std::size_t b = 0; b < count; ++b) {
+    const float* p = parts + b * stride;
+    for (std::size_t e = 0; e < len; ++e) dst[e] += p[e];
+  }
+}
+
 }  // namespace
 
 Conv2D::Conv2D(std::string name, const Conv2DConfig& cfg, util::Rng& rng)
@@ -95,9 +112,12 @@ Shape Conv2D::output_shape(const Shape& in) const {
 // Forward parallelizes over (sample, group) tasks; each task packs its
 // group's input window into a thread-local im2col buffer and runs one
 // row-parallel GEMM (the GEMM's internal parallel_for runs inline when the
-// outer loop already fans out — see util::ThreadPool). Backward keeps the
-// sample loop serial so weight-gradient accumulation has a fixed order,
-// and parallelizes the two GEMMs inside each sample over rows instead.
+// outer loop already fans out — see util::ThreadPool). Backward fans out
+// over the same (sample, group) tasks, kBwdBlock samples at a time. Each
+// task writes its own grad_in slice and its sample's weight/bias-gradient
+// partial; a second parallel_for then adds the block's partials into the
+// gradients in ascending sample order, so every element sees the same
+// additions in the same order as a serial sample loop.
 // ---------------------------------------------------------------------------
 
 Tensor Conv2D::forward(const Tensor& in, bool training) {
@@ -210,27 +230,32 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   float* wg_base = weight_.grad.data();
   float* gi_base = grad_in.data();
 
-  // Arena instead of per-call vectors: the serial sample loop below runs on
-  // this thread, so one warmup-sized buffer each serves every iteration (and
-  // every later call at this shape) without reallocating.
-  float* row = scratch::buffer(scratch::Slot::kIm2row, ohw * ck2);
-  float* drow = scratch::buffer(scratch::Slot::kBwdDrow, ohw * ck2);
-
   // Block sparsity in backward only accelerates the data-gradient GEMM.
   // The weight-gradient GEMM must stay dense: group-Lasso training needs
   // gradients *into* currently-zero blocks so they can revive.
   const BlockMap* bm = sparse_map();
 
-  // Serial over (sample, group) so every weight-gradient element
-  // accumulates in a fixed order; the GEMMs inside parallelize over rows.
-  for (std::size_t n = 0; n < N; ++n) {
-    for (std::size_t g = 0; g < cfg_.groups; ++g) {
+  // One partial per sample of a block: the dW partial (OC x ck2, every
+  // group's rows) followed by the bias partial (OC). The slab lives on this
+  // thread; the tasks below write disjoint partials into it.
+  const std::size_t w_elems = OC * ck2;
+  const std::size_t part_stride = w_elems + OC;
+  float* slab = scratch::buffer(scratch::Slot::kBwdPartial,
+                                std::min(N, kBwdBlock) * part_stride);
+
+  for (std::size_t n0 = 0; n0 < N; n0 += kBwdBlock) {
+    const std::size_t nb = std::min(kBwdBlock, N - n0);
+    util::parallel_for(0, nb * cfg_.groups, [&](std::size_t t) {
+      const std::size_t n = n0 + t / cfg_.groups;
+      const std::size_t g = t % cfg_.groups;
+      float* part = slab + (n - n0) * part_stride;
+      float* row = scratch::buffer(scratch::Slot::kIm2row, ohw * ck2);
       gemm::im2row(ps, in_base + (n * C + g * cin_g) * H * W, row);
       const float* go_g = go_base + (n * OC + g * cout_g) * ohw;
 
-      // dW_g += dOut_g (cout_g x ohw) * row (ohw x ck2)
+      // dW partial: P_g = dOut_g (cout_g x ohw) * row (ohw x ck2)
       simd::gemm_nn(cout_g, ck2, ohw, go_g, ohw, row, ck2,
-                    wg_base + g * cout_g * ck2, ck2, /*accumulate=*/true,
+                    part + g * cout_g * ck2, ck2, /*accumulate=*/false,
                     /*parallel=*/true);
 
       if (cfg_.bias) {
@@ -238,24 +263,38 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
           const float* go_c = go_g + ocg * ohw;
           float acc = 0.0f;
           for (std::size_t s = 0; s < ohw; ++s) acc += go_c[s];
-          bias_.grad[g * cout_g + ocg] += acc;
+          part[w_elems + g * cout_g + ocg] = acc;
         }
       }
 
-      // dRow (ohw x ck2) = dOut_g^T * W_g (cout_g x ck2). In the sparse
+      // dRow (ohw x ck2) = dOut_g^T * W_g (cout_g x ck2), written over the
+      // im2row buffer the dW GEMM has finished reading. In the sparse
       // variant the reduction dim (cout) is the consumer partition and the
       // columns (ck2) are producer panels; pruned spans stay zero.
       if (bm != nullptr) {
         simd::gemm_tn_sparse(ohw, ck2, cout_g, go_g, ohw,
-                             w_base + g * cout_g * ck2, ck2, drow, ck2,
+                             w_base + g * cout_g * ck2, ck2, row, ck2,
                              /*accumulate=*/false, /*parallel=*/true,
                              bm->mask());
       } else {
         simd::gemm_tn(ohw, ck2, cout_g, go_g, ohw, w_base + g * cout_g * ck2,
-                      ck2, drow, ck2, /*accumulate=*/false,
+                      ck2, row, ck2, /*accumulate=*/false,
                       /*parallel=*/true);
       }
-      gemm::row2im_add(ps, drow, gi_base + (n * C + g * cin_g) * H * W);
+      gemm::row2im_add(ps, row, gi_base + (n * C + g * cin_g) * H * W);
+    });
+
+    // Fold the block's partials in ascending sample order. On the packed
+    // grid a GEMM with accumulate=true adds each element's full-K sum to C
+    // once, so C + P_n here is exactly what it computed.
+    const std::size_t chunks = (w_elems + kReduceChunk - 1) / kReduceChunk;
+    util::parallel_for(0, chunks, [&](std::size_t c) {
+      const std::size_t e0 = c * kReduceChunk;
+      add_partials(wg_base + e0, slab + e0, part_stride, nb,
+                   std::min(kReduceChunk, w_elems - e0));
+    });
+    if (cfg_.bias) {
+      add_partials(bias_.grad.data(), slab + w_elems, part_stride, nb, OC);
     }
   }
   return grad_in;

@@ -11,6 +11,8 @@
 //     dispatch + burst cache + obs counters all exercised at once);
 //   * concurrent block-sparse forwards on per-thread layers over the shared
 //     pool;
+//   * concurrent conv backwards (per-sample partials folded on the caller)
+//     on per-thread layers while the pool runs another layer's backward;
 //   * concurrent data-parallel training runs (replica fan-out + serial
 //     reduction) contending for the shared pool;
 //   * concurrent streamed executions each accumulating a private
@@ -24,12 +26,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/traffic.hpp"
 #include "data/dataset.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/fc.hpp"
 #include "nn/model_zoo.hpp"
 #include "noc/sim_cache.hpp"
@@ -271,6 +275,67 @@ TEST(TsanStress, ConcurrentSparseForwards) {
   for (auto& th : threads) th.join();
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(ok[t]) << "thread " << t << " sparse forward diverged";
+  }
+}
+
+TEST(TsanStress, ConcurrentConvBackward) {
+  // Conv backward fans (sample, group) tasks out over the pool: each task
+  // writes its sample's gradient partial into the caller's slab, then the
+  // caller folds the partials. Two external threads train their own layers
+  // while the pool runs a third layer's backward; every gradient must stay
+  // byte-identical to an uncontended run.
+  constexpr std::size_t kLayers = 3;
+  constexpr std::size_t kRounds = 6;
+  util::ThreadPool::set_num_threads(4);
+  nn::Conv2DConfig cfg;
+  cfg.in_channels = 4;
+  cfg.out_channels = 16;
+  cfg.kernel = 3;
+  cfg.pad = 1;
+  util::Rng rng_in(31);
+  const Tensor in = Tensor::uniform(Shape{11, 4, 10, 10}, -1.f, 1.f, rng_in);
+  const Tensor grad_out =
+      Tensor::uniform(Shape{11, 16, 10, 10}, -1.f, 1.f, rng_in);
+
+  std::vector<std::unique_ptr<nn::Conv2D>> layers;
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    util::Rng rng(200 + l);
+    layers.push_back(std::make_unique<nn::Conv2D>("conv_stress", cfg, rng));
+  }
+  // One training step: fresh gradients, forward, backward.
+  auto step = [&](nn::Conv2D& conv) {
+    conv.weight().grad.zero();
+    conv.bias().grad.zero();
+    conv.forward(in, /*training=*/true);
+    return conv.backward(grad_out);
+  };
+  auto same = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+  };
+  std::vector<Tensor> first_din(kLayers), first_dw(kLayers);
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    first_din[l] = step(*layers[l]);
+    first_dw[l] = layers[l]->weight().grad;
+  }
+
+  std::vector<int> ok(kLayers, 0);
+  auto train = [&](std::size_t l) {
+    bool all_match = true;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      const Tensor din = step(*layers[l]);
+      all_match = all_match && same(din, first_din[l]) &&
+                  same(layers[l]->weight().grad, first_dw[l]);
+    }
+    ok[l] = all_match;
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t l = 0; l + 1 < kLayers; ++l) threads.emplace_back(train, l);
+  train(kLayers - 1);
+  for (auto& th : threads) th.join();
+  util::ThreadPool::set_num_threads(0);
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    EXPECT_TRUE(ok[l]) << "layer " << l << " conv backward diverged";
   }
 }
 

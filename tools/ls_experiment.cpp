@@ -2,7 +2,7 @@
 // pipelines with every knob on the command line, for exploration beyond
 // the fixed bench configurations.
 //
-//   ls_experiment sparsified --net lenet --cores 16 --lambda 0.5 \
+//   ls_experiment sparsified --net lenet --cores 16 --lambda 0.5
 //       --epochs 4 --samples 768 --seed 42 [--exponent 1.0] [--block]
 //   ls_experiment structure --c1 32 --c2 64 --c3 128 --groups 16 --cores 16
 //   ls_experiment traffic --net alexnet --cores 16
@@ -149,7 +149,9 @@ Args parse(int argc, char** argv, const Command& command) {
                        std::string(argv[1]) + "'");
     }
     if (flag != nullptr && flag->metavar == nullptr) {
-      args.kv[key] = "1";
+      // A std::string, not a bare "1": GCC 12 inlines the const char*
+      // assign here into a spurious -Wrestrict warning.
+      args.kv[key] = std::string("1");
       continue;
     }
     if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
